@@ -10,9 +10,8 @@ consume, and it round-trips through JSON-friendly dicts
 (:meth:`to_dict` / :meth:`from_dict`) and the ``REPRO_*`` environment
 (:meth:`from_env`).
 
-The legacy entry points (:class:`~repro.generation.pipeline.NotebookGenerator`
-and the per-stage config constructors) keep working but are deprecation
-shims over this object.
+The legacy :class:`~repro.generation.pipeline.NotebookGenerator` entry
+point keeps working but is a deprecation shim over this object.
 """
 
 from __future__ import annotations
@@ -108,8 +107,7 @@ class ReproConfig:
 
     @property
     def parallel(self) -> ParallelConfig:
-        """The parallel layer actually in force (legacy knobs resolved)."""
-        return self.generation.effective_parallel()
+        return self.generation.parallel
 
     @property
     def backend(self) -> str:
@@ -134,7 +132,7 @@ class ReproConfig:
         )
 
     def with_parallel(self, **changes) -> "ReproConfig":
-        """A copy with fields of the effective parallel config replaced."""
+        """A copy with fields of ``generation.parallel`` replaced."""
         return self.with_generation(
             parallel=dataclasses.replace(self.parallel, **changes)
         )
@@ -142,11 +140,7 @@ class ReproConfig:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """A JSON-friendly dict that :meth:`from_dict` round-trips.
-
-        The legacy ``n_threads`` / ``parallel_backend`` knobs are *not*
-        serialized — the effective parallel settings already capture them.
-        """
+        """A JSON-friendly dict that :meth:`from_dict` round-trips."""
         gen = self.generation
         return {
             "generation": {
@@ -160,9 +154,8 @@ class ReproConfig:
                 "prune_transitive": gen.prune_transitive,
                 "evaluator": gen.evaluator,
                 "backend": gen.backend,
-                "mqo": gen.mqo,
                 "memory_budget_bytes": gen.memory_budget_bytes,
-                "parallel": gen.effective_parallel().as_dict(),
+                "parallel": gen.parallel.as_dict(),
                 "max_pairs_per_attribute": gen.max_pairs_per_attribute,
             },
             "budget": self.budget,
@@ -210,11 +203,9 @@ class ReproConfig:
             gen_kwargs["sampling"] = (
                 _build(SamplingSpec, payload, "sampling") if payload else None
             )
-        if "parallel" in gen_data:
-            payload = gen_data.pop("parallel")
-            gen_kwargs["parallel"] = (
-                ParallelConfig.from_dict(payload) if payload else None
-            )
+        payload = gen_data.pop("parallel", None)
+        if payload:
+            gen_kwargs["parallel"] = ParallelConfig.from_dict(payload)
         gen_known = {f.name for f in dataclasses.fields(GenerationConfig)}
         unknown = set(gen_data) - gen_known
         if unknown:
@@ -230,11 +221,9 @@ class ReproConfig:
         """Defaults adjusted by the ``REPRO_*`` environment variables.
 
         Honours the per-subsystem hooks the CI matrix already uses —
-        ``REPRO_BACKEND``, ``REPRO_STATS_KERNEL``, ``REPRO_WORKERS``,
-        ``REPRO_SHM`` (column-store plane: ``0``/``1``/``auto``),
-        ``REPRO_MQO`` (batched multi-aggregate compilation: ``0``/``1``)
-        — plus the run-level ``REPRO_BUDGET``, ``REPRO_SOLVER``, and
-        ``REPRO_DEADLINE``.  Pass ``environ`` to read from a mapping other
+        ``REPRO_BACKEND``, ``REPRO_WORKERS``, ``REPRO_SHM`` (column-store
+        plane: ``0``/``1``/``auto``) — plus the run-level ``REPRO_BUDGET``,
+        ``REPRO_SOLVER``, and ``REPRO_DEADLINE``.  Pass ``environ`` to read from a mapping other
         than ``os.environ`` (tests).
         """
         env = os.environ if environ is None else environ
@@ -256,14 +245,6 @@ class ReproConfig:
         backend = get("REPRO_BACKEND")
         if backend is not None:
             gen_kwargs["backend"] = backend
-        mqo = get("REPRO_MQO")
-        if mqo is not None:
-            from repro.backend.base import parse_mqo_flag
-
-            gen_kwargs["mqo"] = parse_mqo_flag(mqo)
-        kernel = get("REPRO_STATS_KERNEL")
-        if kernel is not None:
-            gen_kwargs["significance"] = SignificanceConfig(kernel=kernel)
         workers = number("REPRO_WORKERS", int)
         shm = get("REPRO_SHM")
         if workers is not None or shm is not None:

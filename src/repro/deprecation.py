@@ -1,10 +1,9 @@
 """Warn-once plumbing for the legacy entry points.
 
-The old constructors (:class:`~repro.generation.pipeline.NotebookGenerator`,
-the ``n_threads``/``parallel_backend`` knobs on
-:class:`~repro.generation.config.GenerationConfig`) keep working as shims
-over :mod:`repro.api` / :class:`~repro.config.ReproConfig`, but each emits
-one :class:`DeprecationWarning` per process — loud enough to notice,
+The old :class:`~repro.generation.pipeline.NotebookGenerator` constructor
+keeps working as a shim over :mod:`repro.api` /
+:class:`~repro.config.ReproConfig`, but emits one
+:class:`DeprecationWarning` per process — loud enough to notice,
 quiet enough not to flood a loop that constructs thousands of configs.
 """
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backend.base import BACKEND_NAMES, default_backend_name, default_mqo
+from repro.backend.base import BACKEND_NAMES, default_backend_name
 from repro.errors import QueryError
 from repro.insights.significance import SignificanceConfig
-from repro.parallel.config import ParallelConfig, default_workers
+from repro.parallel.config import ParallelConfig
 from repro.queries.distance import DEFAULT_WEIGHTS, DistanceWeights
 from repro.queries.interestingness import InterestingnessConfig
 from repro.relational.aggregates import DEFAULT_COMPARISON_AGGREGATES, is_aggregate
@@ -66,32 +66,13 @@ class GenerationConfig:
         ``"columnar"`` (in-process NumPy, default) or ``"sqlite"``
         (pushdown to stdlib :mod:`sqlite3`).  The default honours the
         ``REPRO_BACKEND`` environment variable (CI matrix hook).
-    mqo:
-        Multi-query optimization: batch each work unit's group-by sets
-        through the backend's :meth:`materialize_aggregates` compiler so
-        ``statements_executed`` collapses to ~1 per grouping-attribute
-        batch (see ``docs/performance.md``).  Default honours the
-        ``REPRO_MQO`` environment variable (CI matrix hook; unset = on).
-        Notebook output is byte-identical either way — ``False`` is the
-        per-set parity oracle.
     memory_budget_bytes:
         Byte budget for Algorithm 2's cache (None = unlimited).
     parallel:
         The sharded execution layer's settings
-        (:class:`~repro.parallel.config.ParallelConfig`): worker count,
-        pool flavour, restart budget, shard size.  ``None`` (default)
-        derives one from the legacy ``n_threads`` / ``parallel_backend``
-        fields below — see :meth:`effective_parallel`.
-    n_threads:
-        Legacy worker count for testing and support checking (Section
-        6.3.3).  Superseded by ``parallel`` (``ParallelConfig.workers``);
-        still honoured when ``parallel`` is unset.
-    parallel_backend:
-        Legacy pool flavour, ``"threads"`` (default) or ``"processes"``.
-        Superseded by ``parallel`` (``ParallelConfig.backend``).  With
-        ``"processes"`` the sharded pool of :mod:`repro.parallel` runs
-        both the test and support phases; ``"threads"`` keeps the
-        GIL-bound shared-memory pools.
+        (:class:`~repro.parallel.config.ParallelConfig`): worker count
+        (Section 6.3.3's parallelism knob), data plane, restart budget,
+        shard size.  The default honours ``REPRO_WORKERS``.
     max_pairs_per_attribute:
         Optional cap on enumerated value pairs per attribute (explicitly
         reported when it truncates).
@@ -107,11 +88,8 @@ class GenerationConfig:
     prune_transitive: bool = True
     evaluator: str = "pairwise"
     backend: str = field(default_factory=default_backend_name)
-    mqo: bool = field(default_factory=default_mqo)
     memory_budget_bytes: int | None = None
-    parallel: ParallelConfig | None = None
-    n_threads: int = 1
-    parallel_backend: str = "threads"
+    parallel: ParallelConfig = field(default_factory=ParallelConfig)
     max_pairs_per_attribute: int | None = None
 
     def __post_init__(self) -> None:
@@ -126,31 +104,3 @@ class GenerationConfig:
             raise QueryError(
                 f"unknown execution backend {self.backend!r}; known: {BACKEND_NAMES}"
             )
-        if self.n_threads < 1:
-            raise QueryError("n_threads must be at least 1")
-        if self.parallel_backend not in ("threads", "processes"):
-            raise QueryError(f"unknown parallel backend {self.parallel_backend!r}")
-        if self.n_threads != 1 or self.parallel_backend != "threads":
-            from repro.deprecation import warn_once
-
-            warn_once(
-                "GenerationConfig.legacy-parallel",
-                "GenerationConfig(n_threads=..., parallel_backend=...) is "
-                "deprecated; pass parallel=ParallelConfig(workers=..., "
-                "backend=...) or use ReproConfig.with_parallel(...)",
-            )
-
-    def effective_parallel(self) -> ParallelConfig:
-        """The :class:`ParallelConfig` actually in force.
-
-        ``parallel`` wins when set.  Otherwise one is derived from the
-        legacy knobs: an explicit ``n_threads > 1`` keeps its value and
-        pool flavour; the 1-thread default defers to ``REPRO_WORKERS``
-        (matching :func:`~repro.parallel.config.default_workers`) so the
-        CI matrix can turn workers on without touching code.
-        """
-        if self.parallel is not None:
-            return self.parallel
-        if self.n_threads > 1:
-            return ParallelConfig(workers=self.n_threads, backend=self.parallel_backend)
-        return ParallelConfig(workers=default_workers())

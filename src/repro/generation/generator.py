@@ -6,7 +6,7 @@ only in configuration:
 * which *evaluator* materializes aggregates (naive / pairwise bounding /
   Algorithm 2 set cover);
 * whether the statistical tests run on an offline *sample*;
-* how many *threads* the test and support phases use.
+* how many *workers* the test and support phases use.
 
 The output carries everything the TAP needs (queries, interests) plus the
 phase timings the scalability figures break down.
@@ -15,8 +15,6 @@ phase timings the scalability figures break down.
 from __future__ import annotations
 
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -27,11 +25,7 @@ from repro.generation.config import GenerationConfig
 from repro.generation.evaluators import SupportEvaluator, build_evaluator
 from repro.insights.enumeration import enumerate_candidates
 from repro.insights.insight import CandidateInsight, InsightEvidence, TestedInsight
-from repro.insights.significance import (
-    family_chunks,
-    finalize_attribute,
-    run_attribute_chunk,
-)
+from repro.insights.significance import finalize_attribute, run_attribute_chunk
 from repro.parallel.shards import (
     ShardStore,
     evidence_supported,
@@ -162,7 +156,7 @@ def run_stats_stage(
     pool records each completed shard there (the mid-shard checkpoint) and
     a resumed run skips them.  ``backend`` supplies the rows the offline
     samples draw from; the tests themselves are row-level statistics and
-    run in-process or on the worker pool per ``config.effective_parallel()``.
+    run in-process or on the worker pool per ``config.parallel``.
 
     ``incremental`` carries a :class:`~repro.stats.delta.StatsMemo` from an
     earlier run over a *prefix* of ``table`` (the caller has verified the
@@ -227,7 +221,7 @@ def run_stats_stage(
         "stats.tests",
         engine=config.significance.engine,
         permutations=config.significance.n_permutations,
-        workers=config.effective_parallel().workers,
+        workers=config.parallel.workers,
     ) as sp:
         tested, records, plan = _run_tests(
             test_source, config, deadline, shard_store,
@@ -305,13 +299,12 @@ def run_support_stage(
             evaluator=config.evaluator,
             backend=backend.name,
             insights=len(stats.significant),
-            mqo=config.mqo,
         ) as sp:
             evaluator = build_evaluator(
-                backend, config.evaluator, config.memory_budget_bytes, mqo=config.mqo
+                backend, config.evaluator, config.memory_budget_bytes
             )
-            logger.info("hypothesis evaluation: evaluator=%s backend=%s mqo=%s over %d insights",
-                        config.evaluator, backend.name, config.mqo, len(stats.significant))
+            logger.info("hypothesis evaluation: evaluator=%s backend=%s over %d insights",
+                        config.evaluator, backend.name, len(stats.significant))
             queries, evidences, n_hypothesis, worker_counts, plan = _evaluate_support(
                 table, stats.significant, stats.excluded_pairs, evaluator, config, deadline
             )
@@ -384,7 +377,7 @@ def _run_tests(
     delta: tuple[StatsMemo, dict[str, frozenset]] | None = None,
     collect_memo: bool = False,
 ) -> tuple[list[TestedInsight], dict[str, list] | None, object]:
-    """Run the per-attribute significance tests, possibly in parallel.
+    """Run the per-attribute significance tests, possibly sharded.
 
     ``test_source`` is either one table shared by every attribute (full
     data or a uniform random sample) or a mapping attribute -> table
@@ -396,15 +389,14 @@ def _run_tests(
     the per-family records of this run (for the *next* memo).  Returns
     ``(tested, records_or_None, plan_or_None)``.
 
-    ``config.effective_parallel()`` picks the execution strategy: the
-    sharded subprocess pool of :mod:`repro.parallel` (``processes``, with
-    worker-side deadline checkpoints, crash isolation, and optional
-    mid-shard checkpointing through ``shard_store``), a thread pool
-    (``threads``, the legacy GIL-bound path), or plain sequential when one
-    worker is configured.  All three produce identical results — shards
+    ``config.parallel`` picks the execution strategy: the sharded
+    subprocess pool of :mod:`repro.parallel` (with worker-side deadline
+    checkpoints, crash isolation, and optional mid-shard checkpointing
+    through ``shard_store``) when more than one worker is configured,
+    plain sequential otherwise.  Both produce identical results — shards
     are cut at pair-family boundaries and permutation batches derive their
     RNG from chunk-independent keys.  The incremental path feeds its dirty
-    work through the same runners, so the parity holds there too.
+    work through the same runner, so the parity holds there too.
     """
     if isinstance(test_source, Table):
         tables = {name: test_source for name in test_source.schema.categorical_names}
@@ -429,7 +421,6 @@ def _run_tests(
         if candidates:
             work.append((attribute, sample, candidates))
 
-    parallel = config.effective_parallel()
     memoizable = config.sampling is None and config.significance.share_across_pairs
 
     plan = None
@@ -441,7 +432,7 @@ def _run_tests(
         raw: dict[str, tuple[list, list]] = {}
         if plan.dirty_work:
             _execute_tests(
-                plan.dirty_work, config, parallel, deadline, shard_store,
+                plan.dirty_work, config, deadline, shard_store,
                 checkpoint, raw_out=raw,
             )
         tested: list[TestedInsight] = []
@@ -457,7 +448,7 @@ def _run_tests(
     want_raw = collect_memo and memoizable
     raw = {} if want_raw else None
     tested = _execute_tests(
-        work, config, parallel, deadline, shard_store, checkpoint, raw_out=raw
+        work, config, deadline, shard_store, checkpoint, raw_out=raw
     )
     records = None
     if want_raw:
@@ -471,7 +462,6 @@ def _run_tests(
 def _execute_tests(
     work: list[tuple[str, Table, list[CandidateInsight]]],
     config: GenerationConfig,
-    parallel,
     deadline: Deadline | None,
     shard_store: ShardStore | None,
     checkpoint,
@@ -480,63 +470,25 @@ def _execute_tests(
     """Feed a work list through the configured runner.
 
     The single execution funnel for both full and incremental runs: the
-    sharded process pool, the thread pool, or plain sequential.  When
-    ``raw_out`` is given it receives each attribute's merged raw
-    ``(oriented, results)`` before the BH correction.
+    sharded process pool, or plain sequential.  When ``raw_out`` is given
+    it receives each attribute's merged raw ``(oriented, results)`` before
+    the BH correction.
     """
     if not work:
         return []
-    if parallel.active and parallel.backend == "processes":
+    if config.parallel.active:
         return run_stats_shards(
-            work, config.significance, parallel, deadline,
+            work, config.significance, config.parallel, deadline,
             store=shard_store, raw_out=raw_out,
         )
 
-    if not parallel.active or len(work) <= 1:
-        tested: list[TestedInsight] = []
-        for attribute, sample, candidates in work:
-            oriented, results = run_attribute_chunk(
-                sample, attribute, candidates, config.significance, checkpoint
-            )
-            if raw_out is not None:
-                raw_out[attribute] = (list(oriented), list(results))
-            tested.extend(finalize_attribute(oriented, results, config.significance))
-        return tested
-
-    # Thread pool: chunk within attributes so one large-domain attribute
-    # cannot serialize the whole phase.  Chunks are cut only at pair-family
-    # boundaries: the batched kernel then sees whole families per worker
-    # and candidate order is preserved.  The BH correction is applied per
-    # attribute family after merging the chunks; key-derived permutation
-    # batches make the outcome chunking-invariant.
-    jobs: list[tuple[str, Table, list[CandidateInsight]]] = []
+    tested: list[TestedInsight] = []
     for attribute, sample, candidates in work:
-        for chunk in family_chunks(candidates, parallel.chunk_size):
-            jobs.append((attribute, sample, chunk))
-
-    merged: dict[str, tuple[list, list]] = {attribute: ([], []) for attribute, _, _ in work}
-    with ThreadPoolExecutor(max_workers=parallel.workers) as pool:
-        try:
-            futures = [
-                (attribute, pool.submit(run_attribute_chunk, sample, attribute, chunk,
-                                        config.significance, checkpoint))
-                for attribute, sample, chunk in jobs
-            ]
-            for attribute, future in futures:
-                if checkpoint is not None:
-                    checkpoint()
-                oriented, results = future.result()
-                merged[attribute][0].extend(oriented)
-                merged[attribute][1].extend(results)
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-
-    if raw_out is not None:
-        raw_out.update(merged)
-    tested = []
-    for attribute, _, _ in work:
-        oriented, results = merged[attribute]
+        oriented, results = run_attribute_chunk(
+            sample, attribute, candidates, config.significance, checkpoint
+        )
+        if raw_out is not None:
+            raw_out[attribute] = (list(oriented), list(results))
         tested.extend(finalize_attribute(oriented, results, config.significance))
     return tested
 
@@ -595,16 +547,13 @@ def _evaluate_support(
         lo, hi = sorted((candidate.val, candidate.val_other))
         groups.setdefault((candidate.attribute, lo, hi, candidate.measure), []).append(evidence)
 
-    lock = threading.Lock()
     supported_queries: list[_SupportedQuery] = []
     hypothesis_count = 0
     items = list(groups.items())
-    parallel = config.effective_parallel()
 
     # The full pair demand, partitioned per grouping attribute — the shard
-    # unit — so every execution path (sequential, threads, process shards)
-    # issues the same per-grouping batches to the backend's multi-query
-    # compiler.
+    # unit — so both execution paths (sequential, process shards) issue
+    # the same per-grouping batches to the backend's multi-query compiler.
     demand: dict[str, list[frozenset[str]]] = {}
     distinct_pairs: set[frozenset[str]] = set()
     for attribute in sorted(valid_groupings):
@@ -621,20 +570,14 @@ def _evaluate_support(
     # set-cover evaluator is excluded: its up-front materialization is
     # shared *across* groupings, so per-grouping workers would repeat it
     # (breaking statement-count parity and wasting the cover).
-    if (
-        parallel.active
-        and parallel.backend == "processes"
-        and config.evaluator != "setcover"
-        and items
-    ):
+    if config.parallel.active and config.evaluator != "setcover" and items:
         records, queries_sent, statements = run_support_shards(
             table, items, valid_groupings, config.aggregates,
             backend_name=config.backend,
             evaluator_name=config.evaluator,
             memory_budget=config.memory_budget_bytes,
-            parallel=parallel,
+            parallel=config.parallel,
             deadline=deadline,
-            mqo=config.mqo,
         )
         for group_index, (key, members) in enumerate(items):
             attribute, lo, hi, measure_name = key
@@ -658,10 +601,17 @@ def _evaluate_support(
         extra = {"queries_sent": queries_sent, "statements": statements}
         return supported_queries, evidences, hypothesis_count, extra, plan
 
-    def process_group(key: tuple, members: list[InsightEvidence]) -> tuple[list[_SupportedQuery], int]:
+    # Announce the demand before evaluating: one batched backend call per
+    # grouping attribute (no-op for non-batching evaluators), mirroring the
+    # per-grouping shards of the process path.
+    for grouping in sorted(demand):
+        if deadline is not None:
+            deadline.check("hypothesis evaluation")
+        evaluator.plan(demand[grouping])
+
+    for key, members in items:
         attribute, lo, hi, measure_name = key
-        local_queries: list[_SupportedQuery] = []
-        local_count = 0
+        local_count = local_queries = 0
         with obs.span(
             "generation.evaluate_group",
             attribute=attribute, pair=f"{lo}|{hi}", measure=measure_name,
@@ -673,41 +623,21 @@ def _evaluate_support(
                     query = ComparisonQuery(grouping, attribute, lo, hi, measure_name, agg)
                     result = evaluator.evaluate(query)
                     local_count += len(members)
-                    supported_here: list[InsightEvidence] = []
-                    for evidence in members:
-                        if evidence_supported(result, evidence, lo):
-                            supported_here.append(evidence)
+                    supported_here = [
+                        evidence for evidence in members
+                        if evidence_supported(result, evidence, lo)
+                    ]
+                    for evidence in supported_here:
+                        evidence.n_supporting += 1
                     if supported_here:
-                        local_queries.append(
+                        local_queries += 1
+                        supported_queries.append(
                             _SupportedQuery(
                                 query, result.tuples_aggregated, result.n_groups, supported_here
                             )
                         )
-            sp.set(hypotheses=local_count, supported=len(local_queries))
-        return local_queries, local_count
-
-    # Announce the demand before evaluating: one batched backend call per
-    # grouping attribute (no-op for non-batching evaluators or mqo=off),
-    # mirroring the per-grouping shards of the process path.
-    for grouping in sorted(demand):
-        if deadline is not None:
-            deadline.check("hypothesis evaluation")
-        evaluator.plan(demand[grouping])
-
-    if not parallel.active or len(items) <= 1:
-        outputs = [process_group(key, members) for key, members in items]
-    else:
-        with ThreadPoolExecutor(max_workers=parallel.workers) as pool:
-            futures = [pool.submit(process_group, key, members) for key, members in items]
-            outputs = [f.result() for f in futures]
-
-    for local_queries, local_count in outputs:
+            sp.set(hypotheses=local_count, supported=local_queries)
         hypothesis_count += local_count
-        for record in local_queries:
-            for evidence in record.supported:
-                with lock:
-                    evidence.n_supporting += 1
-            supported_queries.append(record)
 
     return supported_queries, evidences, hypothesis_count, None, plan
 

@@ -19,7 +19,7 @@ looking at the chart would postulate), then tests one-sided.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -30,12 +30,7 @@ from repro.insights.enumeration import enumerate_candidates
 from repro.insights.insight import CandidateInsight, TestedInsight
 from repro.insights.types import InsightType, insight_type
 from repro.stats.corrections import benjamini_hochberg
-from repro.stats.kernel import (
-    KERNEL_NAMES,
-    KernelTest,
-    default_stats_kernel,
-    run_batched_tests,
-)
+from repro.stats.kernel import KernelTest, run_batched_tests
 from repro.stats.permutation import DEFAULT_PERMUTATIONS, SharedPermutations, TestResult
 from repro.stats.rng import DEFAULT_SEED, derive_rng
 from repro.relational.table import Table
@@ -64,11 +59,6 @@ class SignificanceConfig:
         to measure the sharing speedup.
     seed:
         Root seed for permutation generation.
-    kernel:
-        ``"batched"`` (mask-GEMM moment sums, the default) or ``"legacy"``
-        (per-test gathers).  Both produce identical results — the batched
-        kernel is a pure execution-strategy change; parity is enforced in
-        tests and the ``REPRO_STATS_KERNEL`` CI matrix.
     """
 
     n_permutations: int = DEFAULT_PERMUTATIONS
@@ -77,17 +67,12 @@ class SignificanceConfig:
     apply_bh: bool = True
     share_across_pairs: bool = True
     seed: int = DEFAULT_SEED
-    kernel: str = field(default_factory=default_stats_kernel)
 
     def __post_init__(self) -> None:
         if self.engine not in ("permutation", "parametric"):
             raise StatisticsError(f"unknown test engine {self.engine!r}")
         if not 0 < self.threshold < 1:
             raise StatisticsError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.kernel not in KERNEL_NAMES:
-            raise StatisticsError(
-                f"unknown stats kernel {self.kernel!r}; known: {KERNEL_NAMES}"
-            )
 
 
 class _BatchCache:
@@ -183,7 +168,7 @@ def run_attribute_significance(
     config: SignificanceConfig | None = None,
     checkpoint: Callable[[], None] | None = None,
 ) -> list[TestedInsight]:
-    """Test the candidates of a single attribute (the multithreading unit)."""
+    """Test the candidates of a single attribute."""
     config = config or SignificanceConfig()
     return _test_attribute_group(table, attribute, list(candidates), config, checkpoint)
 
@@ -210,8 +195,8 @@ def family_chunks(
     Enumeration yields all candidates of a ``(val, val')`` selection pair
     contiguously; cutting only where the pair changes feeds the batched
     kernel whole pair-families per worker while preserving candidate order,
-    so chunked (threaded or process-pool) runs remain result-identical to
-    unchunked runs.
+    so chunked (process-pool) runs remain result-identical to unchunked
+    runs.
     """
     if chunk_size < 1:
         raise StatisticsError("chunk_size must be at least 1")
@@ -245,13 +230,12 @@ def run_attribute_chunk(
     BH correction over the whole family.  Results are independent of the
     chunking (permutation batches are key-derived, not stream-drawn).
 
-    With the batched kernel the loop only *plans* tests — orientation, NaN
-    cleaning, and batch lookup exactly as the legacy path — and the pending
-    tests of each shared batch are then executed together through the
-    mask-GEMM kernel (:func:`repro.stats.kernel.run_batched_tests`).
-    Planning performs the same :class:`_BatchCache` lookups in the same
-    order as the legacy path, so both kernels consume identical
-    permutations and return identical results in identical order.
+    For the permutation engine the loop only *plans* tests — orientation,
+    NaN cleaning, and batch lookup — and the pending tests of each shared
+    batch are then executed together through the mask-GEMM kernel
+    (:func:`repro.stats.kernel.run_batched_tests`).  Results land in
+    planning order, so they match calling each type's ``test`` method on
+    the same batch candidate by candidate.
 
     ``checkpoint`` is called once per candidate (and between kernel
     slices) — the cooperative cancellation hook of the resilient runtime
@@ -261,11 +245,9 @@ def run_attribute_chunk(
     batched chunk).
     """
     config = config or SignificanceConfig()
-    batched = config.engine == "permutation" and config.kernel == "batched"
     advance = progress or (lambda n: None)
     with obs.span(
-        "stats.test_attribute",
-        attribute=attribute, candidates=len(group), kernel=config.kernel,
+        "stats.test_attribute", attribute=attribute, candidates=len(group)
     ) as chunk_span:
         column = table.categorical_column(attribute)
         row_index = _value_row_index(column.codes)
@@ -276,7 +258,7 @@ def run_attribute_chunk(
 
         oriented: list[CandidateInsight] = []
         results: list[TestResult | None] = []
-        # Batched mode: planned tests per shared batch, in planning order.
+        # Planned tests per shared batch, in planning order.
         pending: dict[int, tuple[SharedPermutations, list[KernelTest]]] = {}
         for candidate in group:
             if checkpoint is not None:
@@ -322,11 +304,6 @@ def run_attribute_chunk(
                 advance(1)
                 continue
             batch = batches.get(side_x.size, side_y.size)
-            if not batched:
-                oriented.append(final)
-                results.append(itype.test(batch, side_x, side_y))
-                advance(1)
-                continue
             slot = len(results)
             oriented.append(final)
             results.append(None)

@@ -66,7 +66,7 @@ class InsightType(abc.ABC):
         pooled values raised to the power ``k + 1``; ``totals[k]`` the
         matching pooled total.  Only called when ``moment_order > 0``; must
         evaluate the same floating-point expression as :meth:`test` so the
-        batched and legacy kernels agree exactly.
+        batched kernel and the per-test path agree exactly.
         """
         raise NotImplementedError(
             f"insight type {self.code!r} declares moment_order="

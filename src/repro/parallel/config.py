@@ -1,7 +1,7 @@
 """Configuration of the sharded multiprocess execution layer.
 
 :class:`ParallelConfig` is the single knob surface for the process-pool
-layer (:mod:`repro.parallel.pool`): how many workers, which pool flavour,
+layer (:mod:`repro.parallel.pool`): how many workers, which data plane,
 how failures are absorbed, and how shards are cut.  It is embedded in
 :class:`~repro.generation.config.GenerationConfig` (``parallel=``) and in
 the top-level :class:`~repro.config.ReproConfig`, and surfaces on the CLI
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 
 __all__ = [
-    "PARALLEL_BACKEND_NAMES",
     "SHM_ENV_VAR",
     "STORE_NAMES",
     "WORKERS_ENV_VAR",
@@ -35,13 +34,8 @@ __all__ = [
     "store_from_env_value",
 ]
 
-#: Pool flavours: ``processes`` (the sharded pool; beats the GIL) and
-#: ``threads`` (shared-memory pool; useful when the workload releases the
-#: GIL or the data is too large to ship to subprocesses).
-PARALLEL_BACKEND_NAMES: tuple[str, ...] = ("processes", "threads")
-
 #: Environment variable holding the default worker count (CI matrix hook,
-#: mirroring ``REPRO_BACKEND`` and ``REPRO_STATS_KERNEL``).
+#: mirroring ``REPRO_BACKEND``).
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
 #: Column-store planes for the data shipped to workers: ``auto`` picks
@@ -106,12 +100,8 @@ class ParallelConfig:
     workers:
         Worker count for the stats and hypothesis-evaluation stages.  The
         default honours the ``REPRO_WORKERS`` environment variable; 1 runs
-        everything in-process (no pool is ever created).
-    backend:
-        ``"processes"`` (default) — the work-stealing subprocess pool of
-        :mod:`repro.parallel.pool`; ``"threads"`` — a shared-memory thread
-        pool (the pre-existing GIL-bound path, kept for workloads where
-        shipping data to subprocesses costs more than it saves).
+        everything in-process (no pool is ever created); a larger count
+        runs the work-stealing subprocess pool of :mod:`repro.parallel.pool`.
     max_worker_restarts:
         Crashed workers are replaced up to this many times per pool before
         the pool stops replacing them and the remaining shards run
@@ -138,7 +128,6 @@ class ParallelConfig:
     """
 
     workers: int = field(default_factory=default_workers)
-    backend: str = "processes"
     max_worker_restarts: int = 1
     chunk_size: int = 250
     deadline_margin: float = 1.0
@@ -148,11 +137,6 @@ class ParallelConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ReproError(f"workers must be at least 1, got {self.workers}")
-        if self.backend not in PARALLEL_BACKEND_NAMES:
-            raise ReproError(
-                f"unknown parallel backend {self.backend!r}; "
-                f"known: {PARALLEL_BACKEND_NAMES}"
-            )
         if self.max_worker_restarts < 0:
             raise ReproError("max_worker_restarts cannot be negative")
         if self.chunk_size < 1:
@@ -174,7 +158,6 @@ class ParallelConfig:
     def as_dict(self) -> dict:
         return {
             "workers": self.workers,
-            "backend": self.backend,
             "max_worker_restarts": self.max_worker_restarts,
             "chunk_size": self.chunk_size,
             "deadline_margin": self.deadline_margin,
@@ -207,6 +190,6 @@ def resolve_store_kind(parallel: ParallelConfig) -> str:
         return "heap"
     if parallel.store == "shm":
         return "shm" if shm_available() else "heap"
-    if parallel.active and parallel.backend == "processes" and shm_available():
+    if parallel.active and shm_available():
         return "shm"
     return "heap"

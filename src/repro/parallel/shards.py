@@ -139,11 +139,7 @@ def _stats_task(ctx: WorkerContext, payload) -> tuple[list, list]:
 
 def _exportable(parallel: ParallelConfig) -> bool:
     """Whether this run should ship handles instead of tables."""
-    return (
-        parallel.active
-        and parallel.backend == "processes"
-        and resolve_store_kind(parallel) == "shm"
-    )
+    return parallel.active and resolve_store_kind(parallel) == "shm"
 
 
 def run_stats_shards(
@@ -254,7 +250,7 @@ class _SupportWorkerState:
     """Per-worker evaluation state: own backend, own evaluator."""
 
     def __init__(self, table, backend_name, evaluator_name, memory_budget,
-                 groups, valid_groupings, aggregates, mqo=None):
+                 groups, valid_groupings, aggregates):
         # Imported here, not at module top: repro.parallel must stay
         # importable without touching repro.generation (which imports
         # repro.parallel.config for its own configuration).
@@ -267,7 +263,6 @@ class _SupportWorkerState:
         self.groups = groups
         self.valid_groupings = valid_groupings
         self.aggregates = aggregates
-        self.mqo = mqo
         self.refresh()
 
     def refresh(self) -> None:
@@ -283,7 +278,7 @@ class _SupportWorkerState:
         from repro.generation.evaluators import build_evaluator
 
         self.evaluator = build_evaluator(
-            self.backend, self.evaluator_name, self.memory_budget, mqo=self.mqo
+            self.backend, self.evaluator_name, self.memory_budget
         )
 
     def close(self) -> None:
@@ -309,7 +304,7 @@ def _support_task(ctx: WorkerContext, grouping: str):
     # Plan this shard's full pair demand up front: one batched backend
     # call per grouping attribute (the multi-query optimization), instead
     # of one lazy materialization per (grouping, selection) pair inside
-    # the evaluate loop.  A no-op for non-batching evaluators or mqo=off.
+    # the evaluate loop.  A no-op for non-batching evaluators.
     shard_pairs = [
         frozenset((grouping, key[0]))
         for key, _ in state.groups
@@ -356,7 +351,6 @@ def run_support_shards(
     memory_budget: int | None,
     parallel: ParallelConfig,
     deadline: Deadline | None = None,
-    mqo: bool | None = None,
 ) -> tuple[dict[tuple[int, str, str], tuple[int, int, tuple[int, ...]]], int, int]:
     """Evaluate the hypothesis stage sharded by grouping attribute.
 
@@ -378,7 +372,7 @@ def run_support_shards(
         task_fn=_support_task,
         worker_init=_support_worker_init,
         init_payload=(source, backend_name, evaluator_name, memory_budget,
-                      groups, valid_groupings, list(aggregates), mqo),
+                      groups, valid_groupings, list(aggregates)),
         label="support",
         deadline=deadline,
     )

@@ -324,9 +324,11 @@ def stats_config_token(config: GenerationConfig, n_rows: int) -> str:
             "apply_bh": significance.apply_bh,
             "share_across_pairs": significance.share_across_pairs,
             "seed": significance.seed,
-            "kernel": significance.kernel,
+            # Constant since the legacy kernel was removed; kept so tokens
+            # of checkpoints written before then still match.
+            "kernel": "batched",
         },
-        "chunk_size": config.effective_parallel().chunk_size,
+        "chunk_size": config.parallel.chunk_size,
     }
     digest = hashlib.blake2s(
         json.dumps(payload, sort_keys=True).encode("utf-8"), digest_size=8

@@ -428,12 +428,10 @@ def resilient_generate(
     config = config or GenerationConfig()
     faults = faults or FaultInjector.none()
     deadline = Deadline(policy.deadline_seconds)
-    parallel = config.effective_parallel()
+    parallel = config.parallel
     report = RunReport(deadline_seconds=policy.deadline_seconds,
                        backend=config.backend,
-                       stats_kernel=config.significance.kernel,
-                       workers=parallel.workers,
-                       mqo=config.mqo)
+                       workers=parallel.workers)
     if epsilon_distance is None:
         epsilon_distance = DEFAULT_EPSILON_PER_QUERY * max(1.0, budget - 1.0)
 
@@ -498,8 +496,7 @@ def resilient_generate(
                 # skips them.  A config token guards against resuming shards
                 # produced under different test settings.
                 shard_store = None
-                if (checkpoint_path is not None and parallel.active
-                        and parallel.backend == "processes"):
+                if checkpoint_path is not None and parallel.active:
                     from repro.persistence import (
                         PersistentShardStore,
                         stats_config_token,

@@ -75,14 +75,9 @@ class RunReport:
     backend: str | None = None
     #: SQL statements the backend actually sent to an external engine.
     backend_statements: int = 0
-    #: Permutation-test kernel the statistics stage used ("batched"/"legacy").
-    stats_kernel: str | None = None
     #: Worker count of the sharded execution layer (1 = in-process).  A
     #: "worker field" in the invariance sense: results never depend on it.
     workers: int = 1
-    #: Whether batched multi-aggregate compilation (multi-query
-    #: optimization) was enabled for the support stage.
-    mqo: bool = True
     #: The chosen multi-query plan: ``{"batches": n, "sets": m}`` — how
     #: many per-grouping-attribute batches covered how many group-by sets.
     #: ``None`` until the support stage has run (or for old checkpoints).
@@ -118,14 +113,14 @@ class RunReport:
             "resumed_from": self.resumed_from,
             "backend": self.backend,
             "backend_statements": self.backend_statements,
-            "stats_kernel": self.stats_kernel,
             "workers": self.workers,
-            "mqo": self.mqo,
             "mqo_plan": dict(self.mqo_plan) if self.mqo_plan else None,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
+        # Reports written before the single execution path also carry
+        # now-constant "stats_kernel" and "mqo" keys; they are ignored.
         return cls(
             stages=[StageReport.from_dict(s) for s in data.get("stages", [])],
             deadline_seconds=data.get("deadline_seconds"),
@@ -133,9 +128,7 @@ class RunReport:
             resumed_from=data.get("resumed_from"),
             backend=data.get("backend"),
             backend_statements=int(data.get("backend_statements", 0)),
-            stats_kernel=data.get("stats_kernel"),
             workers=int(data.get("workers", 1)),
-            mqo=bool(data.get("mqo", True)),
             mqo_plan=data.get("mqo_plan"),
         )
 
@@ -149,13 +142,9 @@ class RunReport:
         lines = [head]
         if self.backend:
             line = f"  backend      {self.backend:<10} statements={self.backend_statements}"
-            if self.stats_kernel:
-                line += f"  kernel={self.stats_kernel}"
             if self.workers > 1:
                 line += f"  workers={self.workers}"
-            if not self.mqo:
-                line += "  mqo=off"
-            elif self.mqo_plan:
+            if self.mqo_plan:
                 line += (
                     f"  mqo={self.mqo_plan.get('sets', 0)} sets"
                     f"/{self.mqo_plan.get('batches', 0)} batches"

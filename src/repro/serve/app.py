@@ -114,7 +114,6 @@ class ReproServer:
         self._httpd = ThreadingHTTPServer(
             (self.config.host, self.config.port), handler
         )
-        self._httpd.daemon_threads = True
         self.executor.start()
         self._listener = threading.Thread(
             target=self._httpd.serve_forever, name="repro-serve-http", daemon=True

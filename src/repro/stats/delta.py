@@ -83,7 +83,9 @@ def incremental_config_token(config) -> str:
             "apply_bh": significance.apply_bh,
             "share_across_pairs": significance.share_across_pairs,
             "seed": significance.seed,
-            "kernel": significance.kernel,
+            # Constant since the legacy kernel was removed; kept so memos
+            # written before then still match.
+            "kernel": "batched",
         },
     }
     digest = hashlib.blake2s(

@@ -122,8 +122,8 @@ def mean_stat_from_moments(
     """Per-permutation mean-greater statistics from X-side first-moment sums.
 
     The Y side is never gathered: ``sum(Y) = total - sum(X)`` for every
-    permutation of the pooled sample.  Shared by the legacy (gather-sum)
-    and batched (mask-GEMM) kernels so both evaluate the exact same
+    permutation of the pooled sample.  Shared by the per-test (gather-sum)
+    path and the batched (mask-GEMM) kernel so both evaluate the exact same
     floating-point expression.  Sums must be taken over the *centered*
     pooled sample (:func:`center_pooled`); the statistic is shift-invariant
     so its value is unchanged.

@@ -200,7 +200,10 @@ def solve_exact(instance: TAPInstance, config: ExactConfig) -> ExactOutcome:
                  config.timeout_seconds)
     with obs.span("tap.exact", n=instance.n, budget=config.budget) as sp:
         search = _Search(instance, config)
-        search.run()
+        # With no positive interest the empty sequence is already optimal;
+        # searching would only tie at 0 until the timeout.
+        if np.any(instance.interests > 0):
+            search.run()
         sp.set(nodes=search.nodes, timed_out=search.timed_out)
     elapsed = sp.duration
     obs.counter("tap.exact.nodes").inc(search.nodes)

@@ -49,7 +49,20 @@ def random_comparison_queries(
     n_measures: int = 2,
     aggregates: tuple[str, ...] = ("sum", "avg"),
 ) -> list[ComparisonQuery]:
-    """Draw ``n`` distinct random comparison queries over a synthetic schema."""
+    """Draw ``n`` distinct random comparison queries over a synthetic schema.
+
+    Raises :class:`TAPError` up front when ``n`` exceeds the number of
+    distinct ordered queries the schema holds.
+    """
+    space = (
+        n_attributes * (n_attributes - 1) * n_values * (n_values - 1)
+        * n_measures * len(set(aggregates))
+    )
+    if n > space:
+        raise TAPError(
+            f"could not draw {n} distinct queries from the synthetic schema: "
+            f"it holds only {space}; increase n_attributes/n_values"
+        )
     attributes = [f"a{i}" for i in range(n_attributes)]
     measures = [f"m{i}" for i in range(n_measures)]
     seen: set[tuple] = set()

@@ -187,7 +187,7 @@ def test_config_round_trips_through_dict():
         solver="exact",
         generation=GenerationConfig(
             backend="sqlite",
-            significance=SignificanceConfig(kernel="legacy", n_permutations=123),
+            significance=SignificanceConfig(n_permutations=123),
             parallel=ParallelConfig(workers=3, chunk_size=17),
         ),
     )
@@ -210,6 +210,12 @@ def test_config_dict_is_json_serializable():
         ({"generation": {"bacckend": "sqlite"}}, "unknown generation keys"),
         ({"generation": {"significance": {"kernle": "batched"}}},
          "unknown significance keys"),
+        # Removed execution switches are rejected, never silently dropped.
+        ({"generation": {"mqo": False}}, "unknown generation keys"),
+        ({"generation": {"significance": {"kernel": "legacy"}}},
+         "unknown significance keys"),
+        ({"generation": {"parallel": {"backend": "threads"}}},
+         "unknown ParallelConfig keys"),
     ],
 )
 def test_from_dict_rejects_unknown_keys(payload, match):
@@ -221,18 +227,16 @@ def test_from_env_reads_the_ci_matrix_hooks():
     config = ReproConfig.from_env(
         {
             "REPRO_BACKEND": "sqlite",
-            "REPRO_STATS_KERNEL": "legacy",
             "REPRO_WORKERS": "2",
-            "REPRO_MQO": "0",
+            "REPRO_SHM": "0",
             "REPRO_BUDGET": "3.5",
             "REPRO_SOLVER": "exact",
             "REPRO_DEADLINE": "30",
         }
     )
     assert config.backend == "sqlite"
-    assert config.significance.kernel == "legacy"
-    assert config.generation.mqo is False
     assert config.parallel.workers == 2
+    assert config.parallel.store == "heap"
     assert config.budget == 3.5
     assert config.solver == "exact"
     assert config.deadline_seconds == 30.0
@@ -245,18 +249,6 @@ def test_from_env_empty_is_default():
 def test_from_env_rejects_garbage_numbers():
     with pytest.raises(ReproError, match="REPRO_WORKERS"):
         ReproConfig.from_env({"REPRO_WORKERS": "many"})
-
-
-def test_from_env_rejects_garbage_mqo_flag():
-    with pytest.raises(ReproError, match="REPRO_MQO"):
-        ReproConfig.from_env({"REPRO_MQO": "maybe"})
-
-
-def test_mqo_round_trips_through_dict():
-    config = ReproConfig().with_generation(mqo=False)
-    restored = ReproConfig.from_dict(config.to_dict())
-    assert restored.generation.mqo is False
-    assert restored.to_dict() == config.to_dict()
 
 
 def test_with_helpers_are_functional_updates():
@@ -305,19 +297,6 @@ def test_preset_does_not_warn():
         warnings.simplefilter("always")
         preset("wsc-approx")
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-
-def test_legacy_parallel_knobs_warn_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config = GenerationConfig(n_threads=2, parallel_backend="processes")
-        GenerationConfig(n_threads=4)
-    messages = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(messages) == 1
-    assert "ParallelConfig" in str(messages[0].message)
-    # The shim still takes effect.
-    assert config.effective_parallel().workers == 2
-    assert config.effective_parallel().backend == "processes"
 
 
 def test_modern_config_does_not_warn():

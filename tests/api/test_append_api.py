@@ -2,8 +2,8 @@
 
 The headline acceptance test for incremental recompute: after appending
 rows, an incremental run must render a notebook *byte-identical* to a
-cold session over the concatenated data — across backends, permutation
-kernels, and worker counts — while skipping untouched partitions.
+cold session over the concatenated data — across backends and worker
+counts — while skipping untouched partitions.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ def block(start, stop):
     return out
 
 
-def quick_config(backend="columnar", kernel="batched", workers=1):
+def quick_config(backend="columnar", workers=1):
     return (
         ReproConfig(budget=3.0)
         .with_generation(backend=backend)
-        .with_significance(n_permutations=30, kernel=kernel)
+        .with_significance(n_permutations=30)
         .with_parallel(workers=workers)
     )
 
@@ -95,12 +95,9 @@ class TestVersion:
 
 class TestAppendParity:
     @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
-    @pytest.mark.parametrize("kernel", ["batched", "legacy"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_incremental_notebook_is_byte_identical(
-        self, backend, kernel, workers
-    ):
-        config = quick_config(backend, kernel, workers)
+    def test_incremental_notebook_is_byte_identical(self, backend, workers):
+        config = quick_config(backend, workers)
         with Session(table_prefix(BASE_ROWS), config=config) as session:
             session.generate()
             since = session.version  # the version the stats memo covers

@@ -14,12 +14,10 @@ import pytest
 
 from repro.backend import (
     AggregateRequest,
-    BackendError,
     ColumnarBackend,
     SqliteBackend,
     materialize_batch,
 )
-from repro.backend.base import parse_mqo_flag
 from repro.backend.sqlite import _MAX_BATCH_BRANCHES
 from repro.relational import table_from_arrays
 from repro.stats import derive_rng
@@ -238,19 +236,7 @@ class TestFallback:
         assert backend.statements_executed == before
 
 
-class TestFlagParsing:
-    @pytest.mark.parametrize("raw", [None, "", "1", "true", "ON", "yes"])
-    def test_on_values(self, raw):
-        assert parse_mqo_flag(raw) is True
-
-    @pytest.mark.parametrize("raw", ["0", "false", "OFF", "no"])
-    def test_off_values(self, raw):
-        assert parse_mqo_flag(raw) is False
-
-    def test_garbage_rejected(self):
-        with pytest.raises(BackendError, match="REPRO_MQO"):
-            parse_mqo_flag("maybe")
-
+class TestAggregateRequest:
     def test_request_canonicalizes_attribute_order(self):
         assert AggregateRequest.of(("b", "a")).attributes == ("a", "b")
         assert AggregateRequest.of(("a",), measures=["m"]).measures == ("m",)

@@ -113,36 +113,6 @@ def test_notebook_cell_structure_identical():
                 assert got.text == ref.text
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_stats_kernel_parity_per_backend(backend):
-    """The kernel switch changes nothing observable: same tested insights,
-    byte-identical serialized notebooks, under either execution backend."""
-    from repro.insights.significance import KERNEL_NAMES
-    from repro.notebook import to_ipynb_json
-
-    table = DATASETS["synthetic"]()
-    runs, payloads = {}, {}
-    for kernel in KERNEL_NAMES:
-        config = GenerationConfig(
-            significance=SignificanceConfig(n_permutations=200, kernel=kernel),
-        )
-        run = run_under(backend, table, config)
-        runs[kernel] = run
-        notebook = run.to_notebook(table=table, table_name="dataset")
-        payloads[kernel] = to_ipynb_json(notebook).encode("utf-8")
-    reference = runs["batched"]
-    assert reference.outcome.queries, "parity test needs a non-empty run"
-    for kernel, run in runs.items():
-        assert [
-            (t.candidate.key, t.statistic, t.p_value, t.p_adjusted)
-            for t in run.outcome.significant
-        ] == [
-            (t.candidate.key, t.statistic, t.p_value, t.p_adjusted)
-            for t in reference.outcome.significant
-        ], kernel
-        assert payloads[kernel] == payloads["batched"], kernel
-
-
 def test_resilient_run_reports_backend_statements():
     table = DATASETS["synthetic"]()
     reports = {}

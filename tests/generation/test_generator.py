@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.generation import GenerationConfig, SamplingSpec, generate_comparison_queries
+from repro.parallel import ParallelConfig
 from repro.insights import insight_type
 from repro.queries import evaluate_comparison
 from repro.relational import table_from_arrays
@@ -115,15 +116,6 @@ class TestConfigurationVariants:
             keys.append({g.query.key for g in outcome.queries})
         assert keys[0] == keys[1] == keys[2]
 
-    def test_threads_give_same_result(self, planted):
-        single = generate_comparison_queries(planted, GenerationConfig(n_threads=1))
-        multi = generate_comparison_queries(planted, GenerationConfig(n_threads=4))
-        assert {g.query.key for g in single.queries} == {g.query.key for g in multi.queries}
-        by_key_s = {g.query.key: g.interest for g in single.queries}
-        by_key_m = {g.query.key: g.interest for g in multi.queries}
-        for key, interest in by_key_s.items():
-            assert by_key_m[key] == pytest.approx(interest)
-
     def test_sampling_reduces_tested_insights(self, planted):
         full = generate_comparison_queries(planted, GenerationConfig())
         sampled = generate_comparison_queries(
@@ -162,7 +154,7 @@ class TestConfigurationVariants:
         with pytest.raises(Exception):
             GenerationConfig(evaluator="quantum")
         with pytest.raises(Exception):
-            GenerationConfig(n_threads=0)
+            GenerationConfig(parallel=ParallelConfig(workers=0))
         with pytest.raises(Exception):
             SamplingSpec("stratified", 0.5)
         with pytest.raises(Exception):
@@ -171,16 +163,14 @@ class TestConfigurationVariants:
 
 class TestParallelBackends:
     def test_process_backend_identical_results(self, planted):
-        serial = generate_comparison_queries(planted, GenerationConfig(n_threads=1))
+        serial = generate_comparison_queries(
+            planted, GenerationConfig(parallel=ParallelConfig(workers=1))
+        )
         procs = generate_comparison_queries(
-            planted, GenerationConfig(n_threads=2, parallel_backend="processes")
+            planted, GenerationConfig(parallel=ParallelConfig(workers=2))
         )
         assert {g.query.key for g in serial.queries} == {g.query.key for g in procs.queries}
         by_key_s = {g.query.key: g.interest for g in serial.queries}
         by_key_p = {g.query.key: g.interest for g in procs.queries}
         for key, interest in by_key_s.items():
             assert by_key_p[key] == pytest.approx(interest)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(Exception):
-            GenerationConfig(parallel_backend="fibers")

@@ -49,6 +49,7 @@ class TestNotebookGenerator:
             covid_small, budget=3, epsilon_distance=6.0
         )
         assert run.solution.interest >= heuristic.solution.interest - 1e-9
+        assert run.solution.optimal
 
     def test_exact_refuses_oversized_q(self, covid_small):
         generator = NotebookGenerator(solver="exact", max_exact_queries=3)

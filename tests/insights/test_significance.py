@@ -119,21 +119,11 @@ class TestTestCandidates:
         )
         assert calls and calls[-1][0] == calls[-1][1]
 
-    def test_progress_is_per_candidate_with_legacy_kernel(self, planted):
-        candidates = list(enumerate_candidates(planted, measures=["m1"], insight_types=["M"]))
-        calls = []
-        run_candidate_tests(
-            planted, candidates, SignificanceConfig(kernel="legacy"),
-            progress=lambda done, total: calls.append((done, total)),
-        )
-        assert [c[0] for c in calls] == list(range(1, len(candidates) + 1))
-        assert all(total == len(candidates) for _, total in calls)
-
     def test_progress_monotone_with_batched_kernel(self, planted):
         candidates = list(enumerate_candidates(planted, measures=["m1", "m2"]))
         calls = []
         run_candidate_tests(
-            planted, candidates, SignificanceConfig(kernel="batched"),
+            planted, candidates, SignificanceConfig(),
             progress=lambda done, total: calls.append((done, total)),
         )
         dones = [c[0] for c in calls]

@@ -1,6 +1,6 @@
 """Worker-count invariance: the PR 5 determinism contract, end to end.
 
-For every execution backend and permutation kernel, a notebook generated
+For every execution backend, a notebook generated
 with ``workers in {2, 4}`` must be byte-identical to the ``workers=1``
 run — same selected queries, same rendered ``.ipynb`` JSON — and the
 :class:`RunReport` must agree on everything except wall-clock timings and
@@ -22,7 +22,6 @@ from repro.parallel import ParallelConfig
 from repro.relational.store import shm_available
 
 BACKENDS = ("columnar", "sqlite")
-KERNELS = ("batched", "legacy")
 STORES = ("heap", "shm")
 
 
@@ -37,11 +36,11 @@ def table():
     return covid_table(400)
 
 
-def _run(table, backend: str, kernel: str, workers: int, store: str = "heap"):
+def _run(table, backend: str, workers: int, store: str = "heap"):
     config = ReproConfig(
         generation=GenerationConfig(
             backend=backend,
-            significance=SignificanceConfig(kernel=kernel, n_permutations=80),
+            significance=SignificanceConfig(n_permutations=80),
             parallel=ParallelConfig(workers=workers, chunk_size=10, store=store),
         ),
         budget=6.0,
@@ -69,27 +68,25 @@ def _normalized_report(run) -> dict:
     return data
 
 
-_baselines: dict[tuple[str, str], tuple] = {}
+_baselines: dict[str, tuple] = {}
 
 
-def _baseline(table, backend: str, kernel: str):
-    key = (backend, kernel)
-    if key not in _baselines:
-        _baselines[key] = _run(table, backend, kernel, workers=1)
-    return _baselines[key]
+def _baseline(table, backend: str):
+    if backend not in _baselines:
+        _baselines[backend] = _run(table, backend, workers=1)
+    return _baselines[backend]
 
 
 @pytest.mark.parametrize("store", STORES)
 @pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_notebook_is_byte_identical_across_worker_counts(
-    table, backend, kernel, workers, store
+    table, backend, workers, store
 ):
     if store == "shm" and not shm_available():
         pytest.skip("shared memory unavailable on this platform")
-    base_run, base_json = _baseline(table, backend, kernel)
-    run, ipynb_json = _run(table, backend, kernel, workers, store)
+    base_run, base_json = _baseline(table, backend)
+    run, ipynb_json = _run(table, backend, workers, store)
 
     assert ipynb_json == base_json
     assert [str(q.query) for q in run.selected] == [
@@ -100,4 +97,3 @@ def test_notebook_is_byte_identical_across_worker_counts(
     assert run.report.workers == workers
     assert base_run.report.workers == 1
     assert run.report.backend == backend
-    assert run.report.stats_kernel == kernel

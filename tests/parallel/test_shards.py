@@ -89,6 +89,16 @@ def test_persistent_store_writes_stats_partial_checkpoint(covid, tmp_path):
     assert _stats_key(rerun) == _stats_key(stats)
 
 
+def test_stats_config_token_matches_checkpoints_before_the_kernel_switch_went(
+    monkeypatch,
+):
+    """The payload keeps its constant ``"kernel": "batched"`` entry, so
+    ``stats-partial`` checkpoints written while the switch existed resume."""
+    for name in ("REPRO_BACKEND", "REPRO_WORKERS", "REPRO_SHM"):
+        monkeypatch.delenv(name, raising=False)
+    assert stats_config_token(GenerationConfig(), 1000) == "5219164c370f479d"
+
+
 def test_persistent_store_rejects_mismatched_token(covid, tmp_path):
     path = tmp_path / "ckpt.json"
     config = _config(workers=2)

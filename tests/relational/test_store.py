@@ -197,7 +197,3 @@ class TestStoreKindResolution:
     def test_auto_follows_the_pool(self):
         assert resolve_store_kind(ParallelConfig(workers=2)) == "shm"
         assert resolve_store_kind(ParallelConfig(workers=1)) == "heap"
-        assert (
-            resolve_store_kind(ParallelConfig(workers=2, backend="threads"))
-            == "heap"
-        )

@@ -61,16 +61,28 @@ class TestSerialization:
 
     def test_mqo_fields_round_trip(self):
         report = sample_report()
-        report.mqo = False
         report.mqo_plan = {"batches": 3, "sets": 17}
         restored = RunReport.from_dict(report.as_dict())
-        assert restored.mqo is False
         assert restored.mqo_plan == {"batches": 3, "sets": 17}
 
     def test_old_checkpoints_default_mqo_on(self):
+        """Batching is always on; reports written before the plan existed
+        load with no plan."""
         restored = RunReport.from_dict({})
-        assert restored.mqo is True
         assert restored.mqo_plan is None
+
+    def test_report_with_removed_execution_keys_loads(self):
+        """Reports persisted while the kernel and MQO switches existed carry
+        ``stats_kernel`` and ``mqo``; they load, and the keys are dropped."""
+        data = sample_report().as_dict()
+        data.update(
+            stats_kernel="legacy", mqo=False, mqo_plan={"batches": 2, "sets": 5}
+        )
+        restored = RunReport.from_dict(data)
+        assert restored.mqo_plan == {"batches": 2, "sets": 5}
+        assert restored.backend_statements == data["backend_statements"]
+        assert "stats_kernel" not in restored.as_dict()
+        assert "mqo" not in restored.as_dict()
 
     def test_from_dict_defaults(self):
         restored = RunReport.from_dict({})
@@ -100,7 +112,3 @@ class TestSummaryLines:
         report = RunReport(backend="sqlite", mqo_plan={"batches": 2, "sets": 9})
         text = "\n".join(report.summary_lines())
         assert "mqo=9 sets/2 batches" in text
-
-    def test_backend_line_shows_mqo_off(self):
-        report = RunReport(backend="sqlite", mqo=False)
-        assert any("mqo=off" in line for line in report.summary_lines())

@@ -43,8 +43,17 @@ class TestConfigToken:
         one = GenerationConfig()
         # Backend, chunking, and parallelism are row-level-invariant: the
         # token must not move, or appends could never reuse a memo.
-        two = dataclasses.replace(one, backend="sqlite", mqo=False)
+        two = dataclasses.replace(one, backend="sqlite")
         assert incremental_config_token(one) == incremental_config_token(two)
+
+    def test_token_matches_memos_written_before_the_kernel_switch_went(
+        self, monkeypatch
+    ):
+        """The payload keeps its constant ``"kernel": "batched"`` entry, so
+        memos persisted while the switch existed are still reused."""
+        for name in ("REPRO_BACKEND", "REPRO_WORKERS", "REPRO_SHM"):
+            monkeypatch.delenv(name, raising=False)
+        assert incremental_config_token(GenerationConfig()) == "04d9a7cf282bae35"
 
     @pytest.mark.parametrize(
         "mutate",
@@ -57,7 +66,7 @@ class TestConfigToken:
             lambda c: with_significance(c, n_permutations=77),
             lambda c: with_significance(c, seed=1),
             lambda c: with_significance(c, threshold=0.9),
-            lambda c: with_significance(c, kernel="legacy"),
+            lambda c: with_significance(c, engine="parametric"),
         ],
     )
     def test_sensitive_to_result_shaping_fields(self, mutate):

@@ -1,23 +1,32 @@
-"""Unit + parity tests for the batched permutation-test kernel."""
+"""Unit + parity tests for the batched permutation-test kernel.
+
+The batched kernel is the only permutation path in the pipeline.  Its
+oracle lives here: :func:`reference_chunk` re-derives every candidate's
+samples naively and calls the insight type's own ``test`` method once per
+candidate, which is what the per-test kernel did before it was removed.
+"""
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.errors import StatisticsError
 from repro.insights import (
+    CandidateInsight,
     SignificanceConfig,
     enumerate_candidates,
     run_significance_tests,
 )
-from repro.insights.types import MEAN_GREATER, MEDIAN_GREATER, VARIANCE_GREATER
+from repro.insights.significance import _BatchCache, run_attribute_chunk
+from repro.insights.types import (
+    MEAN_GREATER,
+    MEDIAN_GREATER,
+    VARIANCE_GREATER,
+    insight_type,
+)
 from repro.relational import table_from_arrays
 from repro.stats import (
-    KERNEL_NAMES,
-    STATS_KERNEL_ENV_VAR,
     KernelTest,
     SharedPermutations,
-    default_stats_kernel,
     derive_rng,
     mean_difference,
     mean_stat_from_moments,
@@ -32,32 +41,6 @@ from repro.stats.kernel import MAX_STACK_ROWS
 @pytest.fixture
 def prng():
     return derive_rng(31, "kernel-tests")
-
-
-class TestDefaultKernel:
-    def test_unset_env_means_batched(self, monkeypatch):
-        monkeypatch.delenv(STATS_KERNEL_ENV_VAR, raising=False)
-        assert default_stats_kernel() == "batched"
-
-    def test_env_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv(STATS_KERNEL_ENV_VAR, "legacy")
-        assert default_stats_kernel() == "legacy"
-        assert SignificanceConfig().kernel == "legacy"
-
-    def test_env_is_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv(STATS_KERNEL_ENV_VAR, " Batched ")
-        assert default_stats_kernel() == "batched"
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(STATS_KERNEL_ENV_VAR, "turbo")
-        with pytest.raises(StatisticsError, match="REPRO_STATS_KERNEL"):
-            default_stats_kernel()
-
-    def test_config_validates_kernel(self):
-        with pytest.raises(StatisticsError, match="kernel"):
-            SignificanceConfig(kernel="turbo")
-        for name in KERNEL_NAMES:
-            assert SignificanceConfig(kernel=name).kernel == name
 
 
 class TestMomentFormulas:
@@ -93,11 +76,12 @@ class TestMomentFormulas:
 
 class TestLargeMagnitudeStability:
     def test_variance_p_matches_two_pass_reference_at_huge_mean(self, prng):
-        """Values ~1e8 with unit variance: both kernels must agree with the
-        stable two-pass ``np.var`` path.  The uncentered one-pass moment
-        identity loses every significant digit in this regime (errors ~10
-        against a statistic scale well under 1), silently flipping p-values;
-        centering the pooled sample restores full precision."""
+        """Values ~1e8 with unit variance: the per-test path and the kernel
+        must agree with the stable two-pass ``np.var`` path.  The uncentered
+        one-pass moment identity loses every significant digit in this
+        regime (errors ~10 against a statistic scale well under 1), silently
+        flipping p-values; centering the pooled sample restores full
+        precision."""
         batch = SharedPermutations(30, 30, 200, prng)
         x = prng.normal(1.0e8, 1.6, 30)
         y = prng.normal(1.0e8, 1.0, 30)
@@ -117,8 +101,8 @@ class TestLargeMagnitudeStability:
 
     def test_mean_p_matches_gather_reference_at_huge_mean(self, prng):
         """Mean statistics are less cancellation-prone but share the
-        centering; verify the legacy/batched pair still agrees with a
-        direct gather-and-mean evaluation at large magnitude."""
+        centering; verify the per-test path and the kernel still agree with
+        a direct gather-and-mean evaluation at large magnitude."""
         batch = SharedPermutations(25, 35, 200, prng)
         x = prng.normal(1.0e8 + 0.5, 1.0, 25)
         y = prng.normal(1.0e8, 1.0, 35)
@@ -235,57 +219,89 @@ def planted():
     return table_from_arrays({"g": g, "other": other}, {"m1": m1, "m2": m2})
 
 
-def _tested_tuples(table, config):
-    tested = run_significance_tests(table, enumerate_candidates(table), config)
-    return [
-        (t.candidate.key, t.statistic, t.p_value, t.p_adjusted) for t in tested
-    ]
+def reference_chunk(table, attribute, group, config):
+    """Per-candidate oracle for ``run_attribute_chunk``.
+
+    Selects each side's rows with a plain mask, drops NaNs, orients toward
+    the observed dominant side, and calls ``itype.test`` on the batch the
+    runner's key-derived cache hands out for those sizes.
+    """
+    column = table.categorical_column(attribute)
+    batches = _BatchCache(
+        config.seed, attribute, config.n_permutations, config.share_across_pairs
+    )
+    oriented, results = [], []
+    for candidate in group:
+        itype = insight_type(candidate.type_code)
+        values = table.measure_values(candidate.measure)
+        x = values[column.codes == column.code_of(candidate.val)]
+        y = values[column.codes == column.code_of(candidate.val_other)]
+        x, y = x[~np.isnan(x)], y[~np.isnan(y)]
+        if x.size == 0 or y.size == 0:
+            continue
+        statistic = itype.observed_statistic(x, y)
+        if np.isnan(statistic):
+            continue
+        if statistic < 0:
+            x, y = y, x
+            candidate = CandidateInsight(
+                candidate.measure, attribute, candidate.val_other,
+                candidate.val, candidate.type_code,
+            )
+        oriented.append(candidate)
+        results.append(itype.test(batches.get(x.size, y.size), x, y))
+    return oriented, results
+
+
+def _raw_tuples(runner, table, config, candidates=None):
+    candidates = list(candidates or enumerate_candidates(table))
+    out = []
+    for attribute in table.schema.categorical_names:
+        group = [c for c in candidates if c.attribute == attribute]
+        oriented, results = runner(table, attribute, group, config)
+        out.extend(
+            (c.key, r.statistic, r.p_value) for c, r in zip(oriented, results)
+        )
+    return out
+
+
+def _assert_matches_reference(table, config, candidates=None):
+    got = _raw_tuples(run_attribute_chunk, table, config, candidates)
+    want = _raw_tuples(reference_chunk, table, config, candidates)
+    assert got, "the workload must test something"
+    assert got == want
 
 
 class TestKernelParityEndToEnd:
-    """The config switch must not change a single tested insight."""
+    """The runner must match the per-candidate reference test for test."""
 
     def test_batched_equals_legacy(self, planted):
-        batched = _tested_tuples(planted, SignificanceConfig(kernel="batched"))
-        legacy = _tested_tuples(planted, SignificanceConfig(kernel="legacy"))
-        assert batched == legacy
+        _assert_matches_reference(planted, SignificanceConfig())
 
     def test_parity_with_fresh_batches_per_pair(self, planted):
         """share_across_pairs=False exercises the counter-derived RNG keys."""
-        batched = _tested_tuples(
-            planted, SignificanceConfig(kernel="batched", share_across_pairs=False)
+        _assert_matches_reference(
+            planted, SignificanceConfig(share_across_pairs=False)
         )
-        legacy = _tested_tuples(
-            planted, SignificanceConfig(kernel="legacy", share_across_pairs=False)
-        )
-        assert batched == legacy
 
     def test_parity_under_reduced_permutations(self, planted):
-        """The degradation ladder's cut count agrees across kernels too."""
+        """The degradation ladder's cut count agrees with the reference too."""
         cut = reduced_permutations(200, 4)
         assert cut < 200
-        batched = _tested_tuples(
-            planted, SignificanceConfig(kernel="batched", n_permutations=cut)
-        )
-        legacy = _tested_tuples(
-            planted, SignificanceConfig(kernel="legacy", n_permutations=cut)
-        )
-        assert batched == legacy
+        _assert_matches_reference(planted, SignificanceConfig(n_permutations=cut))
 
     def test_parity_with_median_extension_type(self, planted):
-        from repro.insights import CandidateInsight
-
         candidates = [
             CandidateInsight("m1", "g", "g1", "g0", "D"),
             CandidateInsight("m1", "g", "g1", "g2", "M"),
             CandidateInsight("m2", "g", "g2", "g0", "V"),
         ]
-        batched = run_significance_tests(
-            planted, candidates, SignificanceConfig(kernel="batched")
+        _assert_matches_reference(planted, SignificanceConfig(), candidates)
+
+    def test_bh_adjusted_results_follow_the_raw_parity(self, planted):
+        """The public runner only adds BH on top of the compared raw output."""
+        config = SignificanceConfig()
+        tested = run_significance_tests(planted, enumerate_candidates(planted), config)
+        assert [(t.candidate.key, t.statistic, t.p_value) for t in tested] == (
+            _raw_tuples(reference_chunk, planted, config)
         )
-        legacy = run_significance_tests(
-            planted, candidates, SignificanceConfig(kernel="legacy")
-        )
-        assert [(t.candidate.key, t.p_value) for t in batched] == [
-            (t.candidate.key, t.p_value) for t in legacy
-        ]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.tap import (
     ExactConfig,
+    TAPInstance,
     held_karp_path,
     random_euclidean_instance,
     random_hamming_instance,
@@ -98,6 +99,20 @@ class TestBehaviour:
         outcome = solve_exact(instance, ExactConfig(3, 1.0, timeout_seconds=30))
         assert outcome.nodes_explored > 0
         assert outcome.solve_seconds >= 0.0
+
+    def test_all_zero_interest_is_solved_without_search(self):
+        """Nothing scores above 0: the empty sequence is optimal at once,
+        instead of after the whole tree (or the timeout) is spent."""
+        base = random_hamming_instance(60, seed=11)
+        instance = TAPInstance(
+            base.items, np.zeros(base.n), base.costs, base.distances
+        )
+        outcome = solve_exact(instance, ExactConfig(6, 30.0, timeout_seconds=30))
+        assert not outcome.timed_out
+        assert outcome.solution.optimal
+        assert outcome.solution.indices == ()
+        assert outcome.solution.interest == 0.0
+        assert outcome.nodes_explored == 0
 
     def test_non_uniform_costs_respected(self):
         instance = random_euclidean_instance(10, seed=10, uniform_cost=False)

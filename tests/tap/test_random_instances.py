@@ -64,10 +64,34 @@ class TestHamming:
 
     def test_impossible_draw_raises(self):
         rng = derive_rng(1, "x")
+        state = rng.bit_generator.state
         with pytest.raises(TAPError, match="distinct"):
             # Schema too small for that many distinct queries.
             random_comparison_queries(10_000, rng, n_attributes=2, n_values=2, n_measures=1,
                                       aggregates=("sum",))
+        # Rejected before drawing anything.
+        assert rng.bit_generator.state == state
+
+    def test_whole_query_space_is_drawable(self):
+        # 2 * 1 (attributes) * 2 * 1 (values) * 1 measure * 1 aggregate.
+        rng = derive_rng(1, "x")
+        queries = random_comparison_queries(4, rng, n_attributes=2, n_values=2,
+                                            n_measures=1, aggregates=("sum",))
+        assert len({q.key for q in queries}) == 4
+        with pytest.raises(TAPError, match="holds only 4"):
+            random_comparison_queries(5, rng, n_attributes=2, n_values=2,
+                                      n_measures=1, aggregates=("sum",))
+
+    def test_feasible_draw_keeps_its_rng_stream(self):
+        rng = derive_rng(3, "z")
+        queries = random_comparison_queries(4, rng, n_attributes=3, n_values=3)
+        assert [q.key for q in queries] == [
+            ("a0", "a1", "v2", "v1", "m0", "sum"),
+            ("a0", "a1", "v0", "v2", "m1", "sum"),
+            ("a1", "a2", "v0", "v1", "m1", "sum"),
+            ("a2", "a0", "v2", "v1", "m1", "avg"),
+        ]
+        assert rng.random() == 0.01344628707563389
 
     def test_query_fields_within_schema(self):
         rng = derive_rng(2, "y")

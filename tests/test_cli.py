@@ -315,36 +315,20 @@ class TestSinceCheckpoint:
         assert out.exists()
 
 
-class TestThreadsDeprecation:
-    def test_threads_warns_once_and_maps_to_workers(self, covid_csv, tmp_path):
-        import warnings
+class TestRemovedFlags:
+    @pytest.mark.parametrize("command", ["generate", "profile"])
+    @pytest.mark.parametrize("flag", [
+        ["--threads", "2"],
+        ["--parallel-backend", "threads"],
+        ["--stats-kernel", "legacy"],
+    ])
+    def test_removed_execution_flags_are_rejected(self, command, flag, capsys):
+        from repro.cli import build_parser
 
-        from repro import deprecation
-
-        deprecation.reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["generate", str(covid_csv), "--threads", "2",
-                         "--budget", "3", "--out", str(tmp_path / "t.ipynb"),
-                         "--quiet"]) == 0
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("--threads is deprecated" in m for m in messages)
-
-    def test_workers_takes_precedence_over_threads(self):
-        from repro import deprecation
-        from repro.cli import _config_from_args, build_parser
-
-        deprecation.reset()
-        args = build_parser().parse_args(
-            ["generate", "x.csv", "--threads", "3", "--workers", "2"]
-        )
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            config = _config_from_args(args)
-        assert config.parallel.workers == 2
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "x.csv", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestErrorExits:
