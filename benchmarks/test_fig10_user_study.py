@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _harness import cli_main, print_report, run_once
 
 from repro.datasets import enedis_table
-from repro.evaluation import CRITERIA, render_table, simulate_user_study
+from repro.evaluation import CRITERIA, render_table, run_preset, simulate_user_study
 from repro.generation import preset
 
 GENERATORS = (
@@ -43,8 +43,8 @@ def run_experiment(scale: float, budget: int, n_raters: int = 9, seed: int = 159
     table = enedis_table(scale)
     notebooks = {}
     for name in GENERATORS:
-        generator = preset(name, sample_rate=0.1, exact_timeout=15.0)
-        run = generator.generate(table, budget=budget)
+        config = preset(name, sample_rate=0.1, exact_timeout=15.0)
+        run = run_preset(config, table, name, budget=budget).run
         if run.selected:
             notebooks[name] = run.selected
     study = simulate_user_study(notebooks, n_raters=n_raters, seed=seed)

@@ -32,10 +32,10 @@ def run_experiment(scale: float, budgets, sample_rate: float) -> dict:
     for name in PRESETS:
         # Match the paper: Naive-exact's TAP resolution is capped (timeouts
         # are reported, not waited out for an hour).
-        generator = preset(name, sample_rate=sample_rate, exact_timeout=10.0)
+        config = preset(name, sample_rate=sample_rate, exact_timeout=10.0)
         results[name] = {}
         for budget in budgets:
-            results[name][budget] = run_preset(generator, table, name, budget=budget)
+            results[name][budget] = run_preset(config, table, name, budget=budget)
     return results
 
 

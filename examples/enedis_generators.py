@@ -42,10 +42,10 @@ def main() -> None:
     for name in preset_names():
         if name == "naive-exact":
             # The exact solver needs a small Q; keep it but cap its time.
-            generator = preset(name, exact_timeout=20.0)
+            config = preset(name, exact_timeout=20.0)
         else:
-            generator = preset(name, sample_rate=0.2)
-        outcome = run_preset(generator, table, name, budget=args.budget)
+            config = preset(name, sample_rate=0.2)
+        outcome = run_preset(config, table, name, budget=args.budget)
         timings = outcome.breakdown
         rows.append(
             (

@@ -16,8 +16,8 @@ several runs::
         session.write_notebook(run, "mydata.ipynb")
 
 The stable integration surface is :mod:`repro.api` plus
-:class:`repro.ReproConfig`; the older :class:`NotebookGenerator` facade
-still works but is a deprecation shim.
+:class:`repro.ReproConfig`; :func:`repro.preset` returns the paper's
+named Table 3/7 configurations as ready-to-run ``ReproConfig`` objects.
 
 Subpackages
 -----------
@@ -44,7 +44,7 @@ Subpackages
 """
 
 from repro.errors import ReproError
-from repro.generation import GenerationConfig, NotebookGenerator, NotebookRun, preset
+from repro.generation import GenerationConfig, NotebookRun, preset
 from repro.api import Session, generate_notebook
 from repro.config import ReproConfig
 from repro.parallel import ParallelConfig
@@ -83,7 +83,6 @@ __version__ = _read_version()
 __all__ = [
     "ComparisonQuery",
     "GenerationConfig",
-    "NotebookGenerator",
     "NotebookRun",
     "ParallelConfig",
     "ReproConfig",

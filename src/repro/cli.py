@@ -269,12 +269,7 @@ def _configure_logging(verbose: bool, quiet: bool) -> None:
 def _config_from_args(args: argparse.Namespace) -> ReproConfig:
     """One :class:`ReproConfig` from the shared generate/profile flags."""
     if getattr(args, "preset", None):
-        generator = preset(args.preset, sample_rate=args.sample_rate)
-        config = ReproConfig(
-            generation=generator.config,
-            solver=generator.solver,
-            exact_timeout=generator.exact_timeout,
-        )
+        config = preset(args.preset, sample_rate=args.sample_rate)
     else:
         config = ReproConfig().with_significance(n_permutations=args.permutations)
     if getattr(args, "backend", None):

@@ -8,10 +8,8 @@ settings (notebook budget ``eps_t``, distance bound ``eps_d``, solver
 choice, deadline).  It is what the :mod:`repro.api` facade and the CLI
 consume, and it round-trips through JSON-friendly dicts
 (:meth:`to_dict` / :meth:`from_dict`) and the ``REPRO_*`` environment
-(:meth:`from_env`).
-
-The legacy :class:`~repro.generation.pipeline.NotebookGenerator` entry
-point keeps working but is a deprecation shim over this object.
+(:meth:`from_env`).  :func:`repro.generation.preset` returns the paper's
+named Table 3/7 configurations as instances of it.
 """
 
 from __future__ import annotations

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro import obs
-from repro.generation.pipeline import NotebookGenerator, NotebookRun
+from repro.config import ReproConfig
+from repro.generation.pipeline import NotebookRun
 from repro.relational.table import Table
+from repro.runtime.controller import resilient_generate
 
 
 @dataclass(slots=True)
@@ -63,16 +65,30 @@ class PresetRun:
 
 
 def run_preset(
-    generator: NotebookGenerator,
+    config: ReproConfig,
     table: Table,
     preset_name: str,
     budget: float,
     epsilon_distance: float | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> PresetRun:
-    """Execute one configured generator end-to-end and time it."""
+    """Run ``config`` (e.g. a :func:`~repro.generation.preset`) end-to-end
+    under the resilient controller and time it.
+
+    ``epsilon_distance`` defaults to the config's own ε_d.
+    """
+    if epsilon_distance is None:
+        epsilon_distance = config.epsilon_distance
     with obs.span("bench.preset", preset=preset_name, rows=table.n_rows) as sp:
-        run = generator.generate(
-            table, budget=budget, epsilon_distance=epsilon_distance, progress=progress
+        run = resilient_generate(
+            table,
+            config.generation,
+            budget=budget,
+            epsilon_distance=epsilon_distance,
+            solver=config.solver,
+            exact_timeout=config.exact_timeout,
+            max_exact_queries=config.max_exact_queries,
+            deadline_seconds=config.deadline_seconds,
+            progress=progress,
         )
     return PresetRun(preset_name, run, sp.duration)

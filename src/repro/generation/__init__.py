@@ -19,7 +19,6 @@ from repro.generation.generator import (
 )
 from repro.generation.pipeline import (
     DEFAULT_EPSILON_PER_QUERY,
-    NotebookGenerator,
     NotebookRun,
     preset,
     preset_names,
@@ -36,7 +35,6 @@ __all__ = [
     "GenerationConfig",
     "GenerationOutcome",
     "NaiveEvaluator",
-    "NotebookGenerator",
     "NotebookRun",
     "PairwiseEvaluator",
     "PhaseTimings",

@@ -1,9 +1,10 @@
-"""End-to-end notebook generation: the implementations of Tables 3 and 7.
+"""Run results and the named generator configurations of Tables 3 and 7.
 
-:class:`NotebookGenerator` chains query generation (Algorithm 1 /
-Algorithm 2 variants) with TAP resolution (exact branch-and-bound or
-Algorithm 3) and notebook rendering.  :func:`preset` returns the named
-configurations the paper evaluates:
+:class:`NotebookRun` is what every run returns (the resilient controller,
+:mod:`repro.runtime.controller`, is the one code path that produces it).
+:func:`preset` returns the named configurations the paper evaluates, as
+:class:`~repro.config.ReproConfig` objects that :class:`repro.Session`,
+:func:`repro.generate_notebook` and the CLI run directly:
 
 ========================  ==========================  =================
 name                      generation of Q             solving TAP
@@ -21,31 +22,20 @@ name                      generation of Q             solving TAP
 from __future__ import annotations
 
 import dataclasses
-import logging
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro import obs
-from repro.backend import create_backend
 from repro.errors import TAPError
 from repro.generation.config import GenerationConfig, SamplingSpec
-from repro.generation.generator import (
-    GeneratedQuery,
-    GenerationOutcome,
-    generate_comparison_queries,
-)
+from repro.generation.generator import GeneratedQuery, GenerationOutcome
 from repro.notebook.build import build_notebook
 from repro.notebook.cells import Notebook
-from repro.queries.distance import query_distance
 from repro.relational.table import Table
 from repro.runtime.report import RunReport
-from repro.tap.exact import ExactConfig, solve_exact
-from repro.tap.heuristic import HeuristicConfig, solve_heuristic_lazy
-from repro.tap.instance import TAPInstance, TAPSolution
+from repro.tap.instance import TAPSolution
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from repro.config import ReproConfig
 
 #: Default ε_d per notebook query: generous enough that Algorithm 3 keeps
 #: the top queries, tight enough that close queries are preferred (the
@@ -68,9 +58,9 @@ _PRESET_NAMES = (
 class NotebookRun:
     """Result of one end-to-end generation run.
 
-    ``report`` is attached when the run went through the resilient
-    controller (:mod:`repro.runtime`): per-stage timings, degradations
-    applied, warnings, and retry counts.
+    ``report`` is the resilient controller's account of the run
+    (:mod:`repro.runtime`): per-stage timings, degradations applied,
+    warnings, and retry counts.
     """
 
     outcome: GenerationOutcome
@@ -108,147 +98,21 @@ class NotebookRun:
         )
 
 
-class NotebookGenerator:
-    """Legacy facade: configure once, generate notebooks from tables.
-
-    Deprecated in favour of :class:`repro.Session` /
-    :func:`repro.generate_notebook` (which add resilience, checkpoints,
-    and resource reuse); direct construction emits one
-    ``DeprecationWarning`` per process.  :func:`preset` still returns
-    instances without warning — its named configurations remain the
-    canonical Table 3/7 reproduction entry point.
-
-    Parameters
-    ----------
-    config:
-        Generation settings (defaults to the paper's).
-    solver:
-        ``"heuristic"`` (Algorithm 3) or ``"exact"`` (branch-and-bound).
-    exact_timeout:
-        Wall-clock limit for the exact solver, seconds.
-    max_exact_queries:
-        The exact solver needs the full distance matrix; instances larger
-        than this are refused with a clear error (use the heuristic).
-    """
-
-    def __init__(
-        self,
-        config: GenerationConfig | None = None,
-        solver: str = "heuristic",
-        exact_timeout: float | None = 60.0,
-        max_exact_queries: int = 2000,
-    ):
-        from repro.deprecation import warn_once
-
-        warn_once(
-            "NotebookGenerator",
-            "NotebookGenerator is deprecated; use repro.Session / "
-            "repro.generate_notebook with repro.ReproConfig instead "
-            "(see the README quickstart)",
-        )
-        self._init(config, solver, exact_timeout, max_exact_queries)
-
-    @classmethod
-    def _create(
-        cls,
-        config: GenerationConfig | None = None,
-        solver: str = "heuristic",
-        exact_timeout: float | None = 60.0,
-        max_exact_queries: int = 2000,
-    ) -> "NotebookGenerator":
-        """Internal non-warning constructor (used by :func:`preset`)."""
-        self = cls.__new__(cls)
-        self._init(config, solver, exact_timeout, max_exact_queries)
-        return self
-
-    def _init(
-        self,
-        config: GenerationConfig | None,
-        solver: str,
-        exact_timeout: float | None,
-        max_exact_queries: int,
-    ) -> None:
-        if solver not in ("heuristic", "exact"):
-            raise TAPError(f"unknown solver {solver!r}")
-        self.config = config or GenerationConfig()
-        self.solver = solver
-        self.exact_timeout = exact_timeout
-        self.max_exact_queries = max_exact_queries
-
-    def generate(
-        self,
-        table: Table,
-        budget: float = 10.0,
-        epsilon_distance: float | None = None,
-        progress: Callable[[str], None] | None = None,
-    ) -> NotebookRun:
-        """Full pipeline: Q generation, TAP resolution, ordered selection."""
-        logger.info("generate: %d rows, budget=%g, solver=%s, backend=%s",
-                    table.n_rows, budget, self.solver, self.config.backend)
-        with obs.span(
-            "run", rows=table.n_rows, budget=budget, solver=self.solver,
-            backend=self.config.backend,
-        ):
-            backend = create_backend(self.config.backend, table)
-            try:
-                outcome = generate_comparison_queries(
-                    table, self.config, progress, backend=backend
-                )
-            finally:
-                backend.close()
-            if epsilon_distance is None:
-                epsilon_distance = DEFAULT_EPSILON_PER_QUERY * max(1.0, budget - 1.0)
-            with obs.span("tap.solve", queries=len(outcome.queries)) as tap_span:
-                solution = self._solve(outcome.queries, budget, epsilon_distance)
-            outcome.timings.tap_solving = tap_span.duration
-            selected = [outcome.queries[i] for i in solution.indices]
-        logger.info("generate done: %d/%d queries selected in %.3fs",
-                    len(selected), len(outcome.queries), outcome.timings.total)
-        return NotebookRun(outcome, solution, selected, budget, epsilon_distance)
-
-    def _solve(
-        self, queries: Sequence[GeneratedQuery], budget: float, epsilon_distance: float
-    ) -> TAPSolution:
-        if not queries:
-            return TAPSolution((), 0.0, 0.0, 0.0, optimal=True)
-        weights = self.config.distance_weights
-        interests = [g.interest for g in queries]
-        costs = [1.0] * len(queries)
-        if self.solver == "heuristic":
-            def distance_of(i: int, j: int) -> float:
-                return query_distance(queries[i].query, queries[j].query, weights)
-
-            return solve_heuristic_lazy(
-                interests, costs, distance_of, HeuristicConfig(budget, epsilon_distance)
-            )
-        if len(queries) > self.max_exact_queries:
-            raise TAPError(
-                f"exact solver refused: {len(queries)} queries > "
-                f"max_exact_queries={self.max_exact_queries}"
-            )
-        n = len(queries)
-        with obs.span("tap.distance_matrix", n=n):
-            matrix = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d = query_distance(queries[i].query, queries[j].query, weights)
-                    matrix[i, j] = d
-                    matrix[j, i] = d
-        instance = TAPInstance(list(queries), interests, costs, matrix)
-        outcome = solve_exact(
-            instance,
-            ExactConfig(budget, epsilon_distance, timeout_seconds=self.exact_timeout),
-        )
-        return outcome.solution
-
-
 def preset(
     name: str,
     sample_rate: float = 0.1,
     base: GenerationConfig | None = None,
     exact_timeout: float | None = 60.0,
-) -> NotebookGenerator:
-    """The named generator configurations of Tables 3 and 7."""
+) -> ReproConfig:
+    """The named generator configuration of Tables 3 and 7, ready to run.
+
+    ``base`` is the generation config the preset adjusts (the paper's
+    defaults when None); the run-level fields (budget, ε_d, deadline)
+    keep their :class:`~repro.config.ReproConfig` defaults.
+    """
+    # repro.config imports repro.generation, so this import stays local.
+    from repro.config import ReproConfig
+
     if name not in _PRESET_NAMES:
         raise TAPError(f"unknown preset {name!r}; known: {_PRESET_NAMES}")
     config = base or GenerationConfig()
@@ -284,7 +148,7 @@ def preset(
                 conciseness_on=False, credibility_on=True
             ),
         )
-    return NotebookGenerator._create(config, solver=solver, exact_timeout=exact_timeout)
+    return ReproConfig(generation=config, solver=solver, exact_timeout=exact_timeout)
 
 
 def preset_names() -> tuple[str, ...]:

@@ -38,9 +38,9 @@ import logging
 import multiprocessing as mp
 import os
 import pickle
-import queue as queue_mod
 from contextlib import contextmanager
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable, Iterator
 
 from repro import obs
@@ -63,28 +63,16 @@ _INJECTED_EXIT = 17
 _STATE_CACHE_SIZE = 4
 
 
-def _maybe_injected_worker_kill(guard_dir: str | None,
-                                result_queue=None) -> None:
+def _maybe_injected_worker_kill(guard_dir: str | None) -> None:
     """Honor ``REPRO_FAULTS=parallel.worker:kill[:xN]`` inside a worker.
 
     The guard directory is the cross-process fault budget: each planned
     kill claims one marker file with ``O_CREAT|O_EXCL`` before dying, so
     N planned kills crash exactly N task attempts across the whole fleet
     — replacement workers and requeued shards included — regardless of
-    which worker dequeues them.
-
-    The result queue is drained before dying: its feeder thread writes
-    under a lock shared with every other worker, and ``os._exit`` while
-    that lock is held would poison it fleet-wide.  A planned kill models
-    a crash *between* tasks, so flushing first keeps the simulated
-    failure inside the scheduler's recovery contract.
+    which worker dequeues them.  The kill is a bare ``os._exit``, exactly
+    like a real crash: nothing is flushed first.
     """
-
-    def _exit() -> None:
-        if result_queue is not None:
-            result_queue.close()
-            result_queue.join_thread()
-        os._exit(_INJECTED_EXIT)
     plan = os.environ.get("REPRO_FAULTS", "")
     if "parallel.worker" not in plan or guard_dir is None:
         return
@@ -94,7 +82,7 @@ def _maybe_injected_worker_kill(guard_dir: str | None,
         if spec.stage != "parallel.worker" or spec.action != "kill":
             continue
         if spec.times is None:
-            _exit()
+            os._exit(_INJECTED_EXIT)
         for shot in range(spec.times):
             try:
                 fd = os.open(os.path.join(guard_dir, f"kill-{shot}"),
@@ -102,7 +90,7 @@ def _maybe_injected_worker_kill(guard_dir: str | None,
             except FileExistsError:
                 continue
             os.close(fd)
-            _exit()
+            os._exit(_INJECTED_EXIT)
 
 
 @dataclass(slots=True)
@@ -161,7 +149,7 @@ class _Stage:
         self.fault_guard = fault_guard
 
 
-def _fleet_worker_main(worker_id: int, task_queue, result_queue,
+def _fleet_worker_main(worker_id: int, task_queue, result_conn,
                        cancel_value) -> None:
     """Worker loop: serve stage setups and task blocks until ``None``.
 
@@ -185,7 +173,9 @@ def _fleet_worker_main(worker_id: int, task_queue, result_queue,
     states: dict[bytes, tuple[Any, Any]] = {}
 
     def ship(message: tuple) -> None:
-        result_queue.put(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+        result_conn.send_bytes(
+            pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
     try:
         while True:
@@ -255,7 +245,7 @@ def _fleet_worker_main(worker_id: int, task_queue, result_queue,
                     continue  # stale dispatch from a cancelled stage
                 outputs = []
                 for task_id, payload in entries:
-                    _maybe_injected_worker_kill(stage.fault_guard, result_queue)
+                    _maybe_injected_worker_kill(stage.fault_guard)
                     with obs.capture() as (tracer, metrics):
                         try:
                             value = stage.task_fn(stage.context, payload)
@@ -272,24 +262,32 @@ def _fleet_worker_main(worker_id: int, task_queue, result_queue,
     finally:
         for _, state in states.values():
             _close_state(state)
+        result_conn.close()
 
 
 class WorkerFleet:
     """A set of subprocess workers that outlives any single stage.
 
-    The fleet owns the processes, their queues, and the shared
-    cancellation watermark; :class:`~repro.parallel.pool._Scheduler`
-    borrows workers per stage via :meth:`ensure` and talks to them
-    through :meth:`send`/:meth:`recv`, which count every byte into
-    ``parallel.ipc_bytes``.  Close with :meth:`close` (idempotent) or use
-    it as a context manager.
+    The fleet owns the processes, their task queues and result pipes,
+    and the shared cancellation watermark;
+    :class:`~repro.parallel.pool._Scheduler` borrows workers per stage
+    via :meth:`ensure` and talks to them through :meth:`send`/:meth:`recv`,
+    which count every byte into ``parallel.ipc_bytes``.  Close with
+    :meth:`close` (idempotent) or use it as a context manager.
+
+    Each worker ships results over a private pipe whose write end only
+    that worker holds.  A worker that dies mid-write (OOM kill, native
+    crash) can corrupt nothing but its own pipe, which the parent then
+    reads as EOF: the death of that one worker.
     """
 
     def __init__(self, context: mp.context.BaseContext | None = None):
         self._ctx = context or _pool_context()
-        self._results = self._ctx.Queue()
         self._cancel = self._ctx.Value("l", 0)
-        self._workers: dict[int, tuple] = {}  # id -> (process, task_queue)
+        # id -> (process, task_queue, result reader)
+        self._workers: dict[int, tuple] = {}
+        # Workers whose result pipe hit EOF or whose process exited.
+        self._dead: set[int] = set()
         self._next_worker_id = 0
         self._epoch = 0
         self.closed = False
@@ -313,14 +311,18 @@ class WorkerFleet:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_queue = self._ctx.SimpleQueue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_fleet_worker_main,
-            args=(worker_id, task_queue, self._results, self._cancel),
+            args=(worker_id, task_queue, writer, self._cancel),
             daemon=True,
             name=f"repro-fleet-{worker_id}",
         )
         process.start()
-        self._workers[worker_id] = (process, task_queue)
+        # Only the worker may hold the write end: then EOF on the reader
+        # means exactly "this worker is gone".
+        writer.close()
+        self._workers[worker_id] = (process, task_queue, reader)
         obs.counter("parallel.worker_spawns").inc()
         return worker_id
 
@@ -330,8 +332,8 @@ class WorkerFleet:
         This is the amortization point: a fleet that already served a
         stage hands back its warm workers instead of forking new ones.
         """
-        for worker_id in [wid for wid, (process, _) in self._workers.items()
-                          if not process.is_alive()]:
+        for worker_id in [wid for wid in self._workers
+                          if not self.alive(wid)]:
             self.discard(worker_id)
         while len(self._workers) < count:
             self.spawn()
@@ -339,11 +341,15 @@ class WorkerFleet:
 
     def alive(self, worker_id: int) -> bool:
         entry = self._workers.get(worker_id)
-        return entry is not None and entry[0].is_alive()
+        return (entry is not None and worker_id not in self._dead
+                and entry[0].is_alive())
 
     def discard(self, worker_id: int):
         """Forget a (dead) worker; returns its exit code for diagnostics."""
-        process, _ = self._workers.pop(worker_id)
+        process, _, reader = self._workers.pop(worker_id)
+        self._dead.discard(worker_id)
+        reader.close()
+        process.join(timeout=1.0)
         return process.exitcode
 
     def refresh(self) -> None:
@@ -358,8 +364,8 @@ class WorkerFleet:
         """
         if self.closed:
             return
-        for worker_id, (process, _) in list(self._workers.items()):
-            if process.is_alive():
+        for worker_id in list(self._workers):
+            if self.alive(worker_id):
                 self.send(worker_id, ("drop_states",))
         obs.counter("parallel.fleet_refreshes").inc()
 
@@ -371,13 +377,33 @@ class WorkerFleet:
         self._workers[worker_id][1].put(raw)
 
     def recv(self, timeout: float):
-        """Next worker message, or ``None`` on timeout."""
-        try:
-            raw = self._results.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
-        obs.counter("parallel.ipc_bytes").inc(len(raw))
-        return pickle.loads(raw)
+        """Next worker message, or ``None`` on timeout or a worker's death.
+
+        Waits on every live worker's result pipe and process sentinel.  A
+        dead worker's pipe is drained before its death is reported, so a
+        result it shipped just before dying is never lost; after ``None``
+        the caller checks :meth:`alive` to find who died.
+        """
+        waitables = {}
+        for worker_id, (process, _, reader) in self._workers.items():
+            if worker_id not in self._dead:
+                waitables[reader] = worker_id
+                waitables[process.sentinel] = worker_id
+        for ready in wait(list(waitables), timeout):
+            worker_id = waitables[ready]
+            reader = self._workers[worker_id][2]
+            if ready is not reader and not reader.poll():
+                self._dead.add(worker_id)  # exited with nothing left to read
+                return None
+            try:
+                raw = reader.recv_bytes()
+            except (EOFError, OSError):
+                # EOF (or a message cut short): the worker is gone.
+                self._dead.add(worker_id)
+                return None
+            obs.counter("parallel.ipc_bytes").inc(len(raw))
+            return pickle.loads(raw)
+        return None
 
     # -- teardown ------------------------------------------------------------
 
@@ -386,17 +412,19 @@ class WorkerFleet:
         if self.closed:
             return
         self.closed = True
-        for _, task_queue in self._workers.values():
+        for _, task_queue, _ in self._workers.values():
             try:
                 task_queue.put(None)
             except (OSError, ValueError):  # pragma: no cover - dying worker
                 pass
-        for process, _ in self._workers.values():
+        for process, _, reader in self._workers.values():
             process.join(timeout=2.0)
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.terminate()
                 process.join(timeout=1.0)
+            reader.close()
         self._workers.clear()
+        self._dead.clear()
 
     def __enter__(self) -> "WorkerFleet":
         return self

@@ -5,7 +5,7 @@ hypothesis evaluation); solving the TAP and rendering notebooks are cheap.
 Persisting a run lets a user re-cut notebooks — different budgets ε_t,
 distance bounds ε_d, or solvers — without re-testing:
 
-    run = NotebookGenerator().generate(table, budget=10)
+    run = repro.generate_notebook(table, config=repro.ReproConfig(budget=10))
     save_run(run, "enedis_run.json")
     ...
     outcome = load_outcome("enedis_run.json")
@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.errors import ReproError
@@ -31,15 +31,15 @@ from repro.generation.generator import (
     PhaseTimings,
     StatsStageResult,
 )
-from repro.generation.pipeline import DEFAULT_EPSILON_PER_QUERY, NotebookRun
+from repro.generation.pipeline import NotebookRun
 from repro.insights.insight import CandidateInsight, InsightEvidence, TestedInsight
 from repro.parallel.shards import ShardStore
 from repro.queries.comparison import ComparisonQuery
-from repro.queries.distance import DEFAULT_WEIGHTS, DistanceWeights, query_distance
+from repro.queries.distance import DEFAULT_WEIGHTS, DistanceWeights
+from repro.runtime.controller import resilient_generate
 from repro.runtime.report import RunReport
 from repro.stats.delta import StatsMemo
 from repro.stats.permutation import TestResult
-from repro.tap.heuristic import HeuristicConfig, solve_heuristic_lazy
 
 logger = logging.getLogger(__name__)
 
@@ -531,19 +531,19 @@ def resolve_outcome(
     epsilon_distance: float | None = None,
     weights: DistanceWeights = DEFAULT_WEIGHTS,
 ) -> NotebookRun:
-    """Re-solve the TAP over a (loaded) outcome — no statistics re-run."""
-    if epsilon_distance is None:
-        epsilon_distance = DEFAULT_EPSILON_PER_QUERY * max(1.0, budget - 1.0)
-    queries = outcome.queries
+    """Re-solve the TAP over a (loaded) outcome — no statistics re-run.
 
-    def distance_of(i: int, j: int) -> float:
-        return query_distance(queries[i].query, queries[j].query, weights)
-
-    solution = solve_heuristic_lazy(
-        [g.interest for g in queries],
-        [1.0] * len(queries),
-        distance_of,
-        HeuristicConfig(budget, epsilon_distance),
+    The resilient controller resumes past the generation stage, so a
+    re-cut runs the same TAP ladder as a fresh run and carries its
+    :class:`~repro.runtime.report.RunReport`.  ``outcome`` is not
+    modified.
+    """
+    # The controller records the TAP time on the outcome's timings.
+    resumed = replace(outcome, timings=replace(outcome.timings))
+    return resilient_generate(
+        None,
+        GenerationConfig(distance_weights=weights),
+        budget=budget,
+        epsilon_distance=epsilon_distance,
+        resume=RunCheckpoint("generation", outcome=resumed),
     )
-    selected = [queries[i] for i in solution.indices]
-    return NotebookRun(outcome, solution, selected, budget, epsilon_distance)

@@ -125,7 +125,11 @@ class RuntimePolicy:
 
 @dataclass(slots=True)
 class _Rung:
-    """One step of a stage's degradation ladder."""
+    """One step of a stage's degradation ladder.
+
+    ``degradation`` names what the run gave up when this rung produced
+    the stage's result (None for a rung that gives up nothing).
+    """
 
     label: str
     run: Callable[[Deadline, list[str]], object]
@@ -168,7 +172,7 @@ def _run_ladder(
                 continue
             succeeded = True
             entry.rung = rung.label
-            if index > 0:
+            if index > 0 or rung.degradation:
                 entry.status = STATUS_DEGRADED
                 if rung.degradation:
                     entry.degradations.append(rung.degradation)
@@ -319,7 +323,15 @@ def _tap_ladder(
         return query_distance(queries[i].query, queries[j].query, weights)
 
     rungs: list[_Rung] = []
-    if solver == "exact" and len(queries) <= max_exact_queries:
+    heuristic_degradation = None
+    if solver == "exact" and len(queries) > max_exact_queries:
+        # The exact solver needs the full distance matrix; an oversized
+        # instance goes straight to the heuristic, reported as a fallback.
+        heuristic_degradation = (
+            f"exact solver refused: {len(queries)} queries > "
+            f"max_exact_queries={max_exact_queries}"
+        )
+    elif solver == "exact":
 
         def run_exact(deadline: Deadline, notes: list[str]) -> TAPSolution:
             import numpy as np
@@ -353,9 +365,6 @@ def _tap_ladder(
             return outcome.solution
 
         rungs.append(_Rung("exact", run_exact))
-
-    heuristic_degradation = None
-    if rungs:
         heuristic_degradation = "fell back to the Algorithm 3 heuristic"
     rungs.append(
         _Rung(
@@ -403,8 +412,9 @@ def resilient_generate(
 ) -> NotebookRun:
     """End-to-end generation that *always* returns a valid NotebookRun.
 
-    Parameters mirror :class:`~repro.generation.pipeline.NotebookGenerator`
-    plus the runtime controls: ``deadline_seconds`` (shared wall clock),
+    ``config``, ``solver``, ``exact_timeout`` and ``max_exact_queries``
+    mirror the :class:`~repro.config.ReproConfig` fields; the rest are
+    the runtime controls: ``deadline_seconds`` (shared wall clock),
     ``faults`` (deterministic fault injection), ``checkpoint_path`` (write
     stage snapshots there after the stats and generation stages), and
     ``resume`` (a :class:`~repro.persistence.RunCheckpoint` to restart

@@ -91,7 +91,7 @@ class RunReport:
 
     @property
     def degraded(self) -> bool:
-        """True when any stage fell back from its first rung (or failed)."""
+        """True when any stage ran degraded (or failed)."""
         return any(s.status in (STATUS_DEGRADED, STATUS_FAILED) for s in self.stages)
 
     @property

@@ -1,5 +1,5 @@
 """The stable facade: ``repro.Session``, ``repro.generate_notebook``,
-``repro.ReproConfig``, and the deprecation shims over the legacy surface."""
+``repro.ReproConfig``, and the presets that feed it."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import repro
 from repro import ReproConfig, Session, generate_notebook, obs
 from repro.datasets import covid_table
 from repro.errors import ReproError
-from repro.generation import GenerationConfig, NotebookGenerator
+from repro.generation import GenerationConfig
 from repro.generation.pipeline import preset
 from repro.insights import SignificanceConfig
 from repro.parallel import ParallelConfig
@@ -269,33 +269,15 @@ def test_config_validates_at_construction():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims
+# Presets and warnings
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(autouse=True)
-def fresh_deprecations():
-    from repro.deprecation import reset
-
-    reset()
-    yield
-    reset()
-
-
-def test_notebook_generator_warns_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        NotebookGenerator()
-        NotebookGenerator()
-    messages = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(messages) == 1
-    assert "repro.Session" in str(messages[0].message)
 
 
 def test_preset_does_not_warn():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        preset("wsc-approx")
+        config = preset("wsc-approx")
+    assert isinstance(config, ReproConfig)
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
 

@@ -13,7 +13,7 @@ import pytest
 from repro import obs
 from repro.backend import BACKEND_NAMES
 from repro.datasets import covid_table
-from repro.generation import GenerationConfig, NotebookGenerator, SamplingSpec
+from repro.generation import GenerationConfig, SamplingSpec
 from repro.insights.significance import SignificanceConfig
 from repro.notebook.cells import MarkdownCell, SQLCell
 from repro.relational import table_from_arrays
@@ -60,8 +60,9 @@ def fast_config(**overrides) -> GenerationConfig:
 
 
 def run_under(backend_name: str, table, config: GenerationConfig):
-    generator = NotebookGenerator(dataclasses.replace(config, backend=backend_name))
-    return generator.generate(table, budget=6)
+    return resilient_generate(
+        table, dataclasses.replace(config, backend=backend_name), budget=6
+    )
 
 
 def assert_runs_match(runs):

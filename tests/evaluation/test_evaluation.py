@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.datasets import covid_table
 from repro.errors import ReproError, TAPError
 from repro.evaluation import (
@@ -106,7 +107,8 @@ class TestStopwatchAndRunner:
 
     def test_run_preset(self):
         covid = covid_table(300)
-        outcome = run_preset(preset("wsc-approx"), covid, "wsc-approx", budget=3)
+        with obs.capture():
+            outcome = run_preset(preset("wsc-approx"), covid, "wsc-approx", budget=3)
         assert outcome.preset_name == "wsc-approx"
         assert outcome.wall_seconds > 0
         assert outcome.n_queries >= len(outcome.run.selected)
@@ -115,9 +117,14 @@ class TestStopwatchAndRunner:
             "hypothesis_evaluation", "tap_solving",
         }
 
-    def test_run_preset_wall_seconds_matches_span(self):
-        from repro import obs
+    def test_run_preset_honours_the_config_epsilon_distance(self):
+        config = preset("wsc-approx").replace(epsilon_distance=2.0)
+        with obs.capture():
+            outcome = run_preset(config, covid_table(300), "wsc-approx", budget=3)
+        assert outcome.run.epsilon_distance == 2.0
+        assert outcome.run.solution.distance <= 2.0
 
+    def test_run_preset_wall_seconds_matches_span(self):
         covid = covid_table(300)
         with obs.capture() as (tracer, _):
             outcome = run_preset(preset("wsc-approx"), covid, "wsc-approx", budget=3)
@@ -132,8 +139,9 @@ class TestStopwatchAndRunner:
 def notebooks():
     covid = covid_table(400)
     runs = {}
-    for name in ("wsc-approx", "wsc-approx-sig"):
-        runs[name] = preset(name).generate(covid, budget=4).selected
+    with obs.capture():
+        for name in ("wsc-approx", "wsc-approx-sig"):
+            runs[name] = run_preset(preset(name), covid, name, budget=4).run.selected
     return runs
 
 

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from repro import ReproConfig, generate_notebook
 from repro.datasets import covid_table
 from repro.errors import NotebookError
-from repro.generation import NotebookGenerator
 from repro.notebook import (
     MarkdownCell,
     Notebook,
@@ -31,7 +31,7 @@ def covid():
 
 @pytest.fixture(scope="module")
 def run(covid):
-    return NotebookGenerator().generate(covid, budget=4)
+    return generate_notebook(covid, config=ReproConfig(budget=4))
 
 
 @pytest.fixture(scope="module")

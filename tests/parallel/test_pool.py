@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,14 @@ def _crash_in_subprocess(ctx, payload):
     if os.getpid() != parent_pid:
         os._exit(7)
     return value + 100
+
+
+def _ship_or_exit(ctx, payload):
+    size, marker = payload
+    if marker and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(13)
+    return b"x" * size
 
 
 def _raise_value_error(ctx, payload):
@@ -112,6 +124,49 @@ def test_crashed_worker_is_replaced_and_its_shard_requeued(tmp_path):
     )
     assert pool.run(payloads) == [i * 3 for i in range(6)]
     assert _counters().get("parallel.worker_restarts", 0) >= 1
+
+
+#: Each trial: a worker ships a 1 kB result, then dies on its next task
+#: right away.  A crash in that window once could leave a result channel
+#: shared by every worker unusable, hanging the scheduler for good.
+_CRASH_AFTER_SHIP_TRIALS = """
+import os, sys, tempfile
+from repro.parallel import ParallelConfig, ShardPool
+from tests.parallel.test_pool import _ship_or_exit
+
+with tempfile.TemporaryDirectory() as markers:
+    for trial in range(int(sys.argv[1])):
+        marker = os.path.join(markers, f"exit-{trial}")
+        payloads = [(1024, ""), (0, marker), (1024, ""), (1024, "")]
+        pool = ShardPool(ParallelConfig(workers=2, ipc_block_size=1),
+                         task_fn=_ship_or_exit)
+        results = pool.run(payloads)
+        assert results == [b"x" * 1024, b"", b"x" * 1024, b"x" * 1024], trial
+print("ok")
+"""
+
+
+def test_crash_right_after_a_ship_never_hangs_the_pool():
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    env.pop("REPRO_FAULTS", None)
+    child = subprocess.Popen(
+        [sys.executable, "-c", _CRASH_AFTER_SHIP_TRIALS, "40"],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        # Take the stuck scheduler and its workers down together.
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("shard pool hung after a worker crashed right after a ship")
+    assert child.returncode == 0, err
+    assert out.strip() == "ok"
 
 
 def test_restart_budget_exhausted_degrades_to_in_process():

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro import NotebookGenerator, read_csv
+from repro import ReproConfig, generate_notebook, read_csv
 from repro.datasets import covid_table
 from repro.generation import GenerationConfig
 from repro.insights import insight_type
@@ -32,7 +32,7 @@ def covid():
 
 @pytest.fixture(scope="module")
 def run(covid):
-    return NotebookGenerator().generate(covid, budget=6)
+    return generate_notebook(covid, config=ReproConfig(budget=6))
 
 
 class TestFullPipeline:
@@ -79,8 +79,8 @@ class TestFullPipeline:
         reloaded = read_csv(path)
         assert reloaded.schema.categorical_names == covid.schema.categorical_names
         assert reloaded.schema.measure_names == covid.schema.measure_names
-        run1 = NotebookGenerator().generate(covid, budget=4)
-        run2 = NotebookGenerator().generate(reloaded, budget=4)
+        run1 = generate_notebook(covid, config=ReproConfig(budget=4))
+        run2 = generate_notebook(reloaded, config=ReproConfig(budget=4))
         keys1 = {i.key for i in run1.outcome.significant}
         keys2 = {i.key for i in run2.outcome.significant}
         assert keys1 == keys2
@@ -117,8 +117,8 @@ class TestFullPipeline:
 
 class TestDeterminism:
     def test_same_seed_same_notebook(self, covid):
-        one = NotebookGenerator().generate(covid, budget=5)
-        two = NotebookGenerator().generate(covid, budget=5)
+        one = generate_notebook(covid, config=ReproConfig(budget=5))
+        two = generate_notebook(covid, config=ReproConfig(budget=5))
         assert [g.query.key for g in one.selected] == [g.query.key for g in two.selected]
 
 

@@ -1,11 +1,12 @@
 """Tests for saving/loading generation runs."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro import obs
 from repro.datasets import covid_table
-from repro.generation import NotebookGenerator
 from repro.persistence import (
     PersistenceError,
     load_outcome,
@@ -16,6 +17,14 @@ from repro.persistence import (
     save_outcome,
     save_run,
 )
+from repro.runtime import resilient_generate
+
+
+@pytest.fixture(scope="module", autouse=True)
+def isolated_obs():
+    """Keep this module's runs out of the ambient obs state."""
+    with obs.capture():
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +34,7 @@ def covid():
 
 @pytest.fixture(scope="module")
 def run(covid):
-    return NotebookGenerator().generate(covid, budget=5)
+    return resilient_generate(covid, budget=5)
 
 
 class TestRoundTrip:
@@ -92,6 +101,27 @@ class TestResolveOutcome:
                                 epsilon_distance=run.epsilon_distance)
         assert recut.solution.indices == run.solution.indices
 
+    def test_recut_of_saved_outcome_matches_fresh_run(self, covid, run, tmp_path):
+        path = tmp_path / "outcome.json"
+        save_outcome(run.outcome, path)
+        recut = resolve_outcome(load_outcome(path), budget=3, epsilon_distance=6.0)
+        fresh = resilient_generate(covid, budget=3, epsilon_distance=6.0)
+        assert [g.query.key for g in recut.selected] == [
+            g.query.key for g in fresh.selected
+        ]
+        assert recut.solution.interest == pytest.approx(fresh.solution.interest)
+        assert recut.epsilon_distance == fresh.epsilon_distance
+
+    def test_recut_resumes_the_controller(self, run):
+        tap_seconds = run.timings.tap_solving
+        recut = resolve_outcome(run.outcome, budget=3)
+        stages = {s.name: (s.status, s.rung) for s in recut.report.stages}
+        assert stages["stats"] == ("resumed", "checkpoint")
+        assert stages["generation"] == ("resumed", "checkpoint")
+        assert stages["tap"] == ("completed", "heuristic")
+        # The caller's outcome is left as it was.
+        assert run.timings.tap_solving == tap_seconds
+
 
 class TestValidation:
     def test_version_checked(self, run, tmp_path):
@@ -133,6 +163,6 @@ class TestRunReportPersistence:
 
     def test_plain_run_has_no_report(self, run, tmp_path):
         path = tmp_path / "plain.json"
-        save_run(run, path)
+        save_run(dataclasses.replace(run, report=None), path)
         assert "report" not in json.loads(path.read_text())
         assert load_run(path).report is None
