@@ -231,8 +231,9 @@ def run_attribute_chunk(
     chunking (permutation batches are key-derived, not stream-drawn).
 
     For the permutation engine the loop only *plans* tests — orientation,
-    NaN cleaning, and batch lookup — and the pending tests of each shared
-    batch are then executed together through the mask-GEMM kernel
+    NaN cleaning (once per value and measure), and batch lookup — and the
+    pending tests of each shared batch are then executed together through
+    the mask-GEMM kernel
     (:func:`repro.stats.kernel.run_batched_tests`).  Results land in
     planning order, so they match calling each type's ``test`` method on
     the same batch candidate by candidate.
@@ -256,6 +257,21 @@ def run_attribute_chunk(
             config.seed, attribute, config.n_permutations, config.share_across_pairs
         )
 
+        # NaN-free sample per (value, measure), built on first use in the
+        # chunk: every candidate of a value shares it rather than repeating
+        # the label lookup, the row gather and the NaN filter.
+        samples: dict[tuple[str, str], np.ndarray] = {}
+
+        def clean_sample(value: str, measure: str) -> np.ndarray:
+            rows = row_index.get(column.code_of(value))
+            if rows is None:  # a value absent from the table: dropped below
+                return np.empty(0)
+            values = measures.get(measure)
+            if values is None:
+                raise StatisticsError(f"unknown measure {measure!r}")
+            sample = values[rows]
+            return sample[~np.isnan(sample)]
+
         oriented: list[CandidateInsight] = []
         results: list[TestResult | None] = []
         # Planned tests per shared batch, in planning order.
@@ -264,20 +280,14 @@ def run_attribute_chunk(
             if checkpoint is not None:
                 checkpoint()
             itype = insight_type(candidate.type_code)
-            code_x = column.code_of(candidate.val)
-            code_y = column.code_of(candidate.val_other)
-            rows_x = row_index.get(code_x)
-            rows_y = row_index.get(code_y)
-            if rows_x is None or rows_y is None:
-                advance(1)
-                continue
-            values = measures.get(candidate.measure)
-            if values is None:
-                raise StatisticsError(f"unknown measure {candidate.measure!r}")
-            x = values[rows_x]
-            y = values[rows_y]
-            x = x[~np.isnan(x)]
-            y = y[~np.isnan(y)]
+            key_x = (candidate.val, candidate.measure)
+            key_y = (candidate.val_other, candidate.measure)
+            x = samples.get(key_x)
+            if x is None:
+                x = samples[key_x] = clean_sample(*key_x)
+            y = samples.get(key_y)
+            if y is None:
+                y = samples[key_y] = clean_sample(*key_y)
             if x.size == 0 or y.size == 0:
                 advance(1)
                 continue

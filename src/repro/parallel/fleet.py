@@ -15,14 +15,14 @@ A :class:`WorkerFleet` decouples worker lifetime from stage lifetime:
   the next stage, and stale results are dropped by epoch in the parent;
 * **block IPC** — tasks travel in small blocks
   (:attr:`~repro.parallel.config.ParallelConfig.ipc_block_size`) instead
-  of one queue round-trip per task;
+  of one pipe round-trip per task;
 * **warm stage states** — workers cache built stage states keyed by the
   init blob's digest, so a repeat of the same stage (the next request
   against a warm serving session, a replacement worker rejoining)
   reuses attached segments, backend connections, and aggregate caches
   instead of rebuilding them;
 * **exact byte accounting** — every message is pickled *by this module*
-  and crosses the queues as raw bytes, so ``parallel.ipc_bytes`` counts
+  and crosses the pipes as raw bytes, so ``parallel.ipc_bytes`` counts
   precisely what the data plane pays.  This is the counter the
   data-plane benchmark asserts its ≥10x shrink against.
 
@@ -149,9 +149,10 @@ class _Stage:
         self.fault_guard = fault_guard
 
 
-def _fleet_worker_main(worker_id: int, task_queue, result_conn,
+def _fleet_worker_main(worker_id: int, task_conn, result_conn,
                        cancel_value) -> None:
-    """Worker loop: serve stage setups and task blocks until ``None``.
+    """Worker loop: serve stage setups and task blocks until an empty
+    message (the stop sentinel) or EOF.
 
     Messages arrive and leave as pre-pickled bytes (the parent counts
     them).  A setup message carries the stage's init blob; its digest
@@ -179,8 +180,11 @@ def _fleet_worker_main(worker_id: int, task_queue, result_conn,
 
     try:
         while True:
-            raw = task_queue.get()
-            if raw is None:
+            try:
+                raw = task_conn.recv_bytes()
+            except EOFError:  # the parent is gone
+                break
+            if not raw:
                 break
             message = pickle.loads(raw)
             if message[0] == "drop_states":
@@ -263,30 +267,36 @@ def _fleet_worker_main(worker_id: int, task_queue, result_conn,
         for _, state in states.values():
             _close_state(state)
         result_conn.close()
+        task_conn.close()
 
 
 class WorkerFleet:
     """A set of subprocess workers that outlives any single stage.
 
-    The fleet owns the processes, their task queues and result pipes,
+    The fleet owns the processes, their task and result pipes,
     and the shared cancellation watermark;
     :class:`~repro.parallel.pool._Scheduler` borrows workers per stage
     via :meth:`ensure` and talks to them through :meth:`send`/:meth:`recv`,
     which count every byte into ``parallel.ipc_bytes``.  Close with
     :meth:`close` (idempotent) or use it as a context manager.
 
-    Each worker ships results over a private pipe whose write end only
-    that worker holds.  A worker that dies mid-write (OOM kill, native
-    crash) can corrupt nothing but its own pipe, which the parent then
-    reads as EOF: the death of that one worker.
+    Each worker talks to the parent over two private one-way pipes.  Only
+    the worker holds the write end of its result pipe: a worker that dies
+    mid-write (OOM kill, native crash) can corrupt nothing but its own
+    pipe, which the parent then reads as EOF — the death of that one
+    worker.  Only the worker holds the read end of its task pipe: a
+    worker that dies while the parent is writing a message larger than
+    the pipe buffer fails that write with a broken pipe (instead of
+    blocking it forever), which :meth:`send` likewise records as the
+    worker's death.
     """
 
     def __init__(self, context: mp.context.BaseContext | None = None):
         self._ctx = context or _pool_context()
         self._cancel = self._ctx.Value("l", 0)
-        # id -> (process, task_queue, result reader)
+        # id -> (process, task writer, result reader)
         self._workers: dict[int, tuple] = {}
-        # Workers whose result pipe hit EOF or whose process exited.
+        # Workers whose pipes broke or whose process exited.
         self._dead: set[int] = set()
         self._next_worker_id = 0
         self._epoch = 0
@@ -310,19 +320,21 @@ class WorkerFleet:
         """Start one worker; returns its fleet-wide id."""
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        task_queue = self._ctx.SimpleQueue()
+        task_reader, task_writer = self._ctx.Pipe(duplex=False)
         reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_fleet_worker_main,
-            args=(worker_id, task_queue, writer, self._cancel),
+            args=(worker_id, task_reader, writer, self._cancel),
             daemon=True,
             name=f"repro-fleet-{worker_id}",
         )
         process.start()
-        # Only the worker may hold the write end: then EOF on the reader
-        # means exactly "this worker is gone".
+        # Only the worker may hold these ends: then EOF on the result
+        # reader, or a broken pipe on the task writer, means exactly "this
+        # worker is gone".
         writer.close()
-        self._workers[worker_id] = (process, task_queue, reader)
+        task_reader.close()
+        self._workers[worker_id] = (process, task_writer, reader)
         obs.counter("parallel.worker_spawns").inc()
         return worker_id
 
@@ -346,8 +358,9 @@ class WorkerFleet:
 
     def discard(self, worker_id: int):
         """Forget a (dead) worker; returns its exit code for diagnostics."""
-        process, _, reader = self._workers.pop(worker_id)
+        process, task_writer, reader = self._workers.pop(worker_id)
         self._dead.discard(worker_id)
+        task_writer.close()
         reader.close()
         process.join(timeout=1.0)
         return process.exitcode
@@ -359,7 +372,7 @@ class WorkerFleet:
         cached states reference the superseded table (and, under the shm
         plane, hold attached views of its segment), and their digest keys
         can never match again.  The broadcast is fire-and-forget — each
-        worker's task queue is serial, so the drop lands before any
+        worker's task pipe is serial, so the drop lands before any
         subsequent stage setup.
         """
         if self.closed:
@@ -372,9 +385,20 @@ class WorkerFleet:
     # -- the byte-counted wire ----------------------------------------------
 
     def send(self, worker_id: int, message: tuple) -> None:
+        """Ship ``message`` to a worker; a broken pipe marks it dead.
+
+        The write blocks while a live worker is busy (backpressure), but
+        not past its death: the caller learns of it from :meth:`alive`
+        and requeues the worker's shard, as for a death seen by
+        :meth:`recv`.
+        """
         raw = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            self._workers[worker_id][1].send_bytes(raw)
+        except OSError:  # BrokenPipeError included: the reader is gone
+            self._dead.add(worker_id)
+            return
         obs.counter("parallel.ipc_bytes").inc(len(raw))
-        self._workers[worker_id][1].put(raw)
 
     def recv(self, timeout: float):
         """Next worker message, or ``None`` on timeout or a worker's death.
@@ -412,16 +436,17 @@ class WorkerFleet:
         if self.closed:
             return
         self.closed = True
-        for _, task_queue, _ in self._workers.values():
+        for _, task_writer, _ in self._workers.values():
             try:
-                task_queue.put(None)
-            except (OSError, ValueError):  # pragma: no cover - dying worker
+                task_writer.send_bytes(b"")  # the stop sentinel
+            except OSError:  # a dead worker: nothing to stop
                 pass
-        for process, _, reader in self._workers.values():
+        for process, task_writer, reader in self._workers.values():
             process.join(timeout=2.0)
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.terminate()
                 process.join(timeout=1.0)
+            task_writer.close()
             reader.close()
         self._workers.clear()
         self._dead.clear()

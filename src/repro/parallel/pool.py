@@ -73,7 +73,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["ShardPool", "WorkerContext", "WorkerCrashed"]
 
-#: Seconds the scheduler waits on the result queue before checking worker
+#: Seconds the scheduler waits on the result pipes before checking worker
 #: liveness and the deadline.
 _POLL_SECONDS = 0.1
 
@@ -267,7 +267,7 @@ class _Scheduler:
         self._n_workers = n_workers
         self._fleet = fleet
         self._epoch = fleet.next_epoch()
-        # Tasks travel in contiguous blocks (fewer queue round-trips);
+        # Tasks travel in contiguous blocks (fewer pipe round-trips);
         # capped so every worker still sees at least two blocks and the
         # stealing scheduler keeps something to steal.
         block_size = max(1, min(pool._parallel.ipc_block_size,

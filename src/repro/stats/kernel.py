@@ -5,9 +5,12 @@ pooled sample costs O(P·n) work *per test*, with large intermediate
 ``(P, n)`` gather matrices.  This module restructures the computation so
 one pass serves every test of a shared batch:
 
-1. A :class:`~repro.stats.permutation.SharedPermutations` batch is turned
-   into its ``(P, n)`` float64 X-membership mask **once**
-   (:meth:`~repro.stats.permutation.SharedPermutations.membership_mask`).
+1. A :class:`~repro.stats.permutation.SharedPermutations` batch already
+   *is* a ``(P, n)`` bool X-membership mask, drawn by selection rather
+   than by sorting; it is widened to float64 **once** per call
+   (:meth:`~repro.stats.permutation.SharedPermutations.membership_mask`,
+   a single ``astype`` that keeps the C-contiguous ``(P, n)`` layout, so
+   the product below reads exactly the operand it always has).
 2. The pooled value vectors of all pending tests — centered to zero mean
    (:func:`~repro.stats.permutation.center_pooled`, which keeps the
    shift-invariant statistics unchanged while making the one-pass variance

@@ -165,9 +165,20 @@ class SharedPermutations:
     and a Y-part.  All measures of the same selection pair reuse the same
     partitions, exactly as Section 5.1.1 prescribes — which both saves time
     and makes the per-measure p-values comparable.
+
+    The batch is stored as one C-contiguous bool ``(P, n_x + n_y)``
+    X-membership mask (:attr:`member`): the batched kernel only ever reads
+    a permutation as the set of pooled positions on its X side, never as an
+    ordering.  Row ``p`` draws ``n_x + n_y`` uniforms and puts on the X side
+    the positions of its ``n_x`` smallest — the classic argsort shuffle —
+    but finds them by O(n) selection (``np.partition`` for the ``n_x``-th
+    smallest value, then ``uniforms <= cut``) instead of an O(n log n)
+    sort.  A tie at the cut makes some row's count differ from ``n_x``;
+    such a batch (vanishingly rare with 53-bit uniforms) is rebuilt from
+    the argsort, so the chosen sets are always exactly the argsort's.
     """
 
-    __slots__ = ("n_x", "n_y", "x_indices")
+    __slots__ = ("n_x", "n_y", "member")
 
     def __init__(self, n_x: int, n_y: int, n_permutations: int, rng: np.random.Generator):
         if n_x <= 0 or n_y <= 0:
@@ -176,45 +187,48 @@ class SharedPermutations:
             raise StatisticsError("n_permutations must be positive")
         self.n_x = n_x
         self.n_y = n_y
-        total = n_x + n_y
-        # One shuffled index row per permutation; argsort of uniforms is the
-        # standard vectorized way to draw many independent permutations.
-        # Only the X side is stored: the Y side is its complement, and the
-        # moment-sum kernels derive every Y-side quantity from pooled totals,
-        # so the batch costs half the memory it used to.
-        uniforms = rng.random((n_permutations, total))
-        shuffled = np.argsort(uniforms, axis=1)
-        self.x_indices = shuffled[:, :n_x].copy()
+        uniforms = rng.random((n_permutations, n_x + n_y))
+        # Fancy-indexing the cut column copies it, so the partitioned
+        # scratch array is freed before the mask is allocated.
+        cut = np.partition(uniforms, n_x - 1, axis=1)[:, [n_x - 1]]
+        member = uniforms <= cut
+        # Every row holds at least n_x members, so one total count finds
+        # any row that tied at its cut.
+        if np.count_nonzero(member) != n_permutations * n_x:
+            member = _argsort_membership(uniforms, n_x)
+        self.member = member
         obs.counter("stats.permutation_batches_created").inc()
 
     @property
     def n_permutations(self) -> int:
-        return int(self.x_indices.shape[0])
+        return int(self.member.shape[0])
+
+    @property
+    def x_indices(self) -> np.ndarray:
+        """X-side pooled indices, ``(P, n_x)``, sorted within each row.
+
+        Order-insensitive consumers only (sums, medians, quantiles — any
+        statistic of the X *set*).
+        """
+        return np.nonzero(self.member)[1].reshape(self.n_permutations, self.n_x)
 
     def membership_mask(self) -> np.ndarray:
         """The ``(P, n_x + n_y)`` float64 X-membership mask of the batch.
 
         Row ``p`` holds 1.0 at the pooled positions permutation ``p`` assigns
-        to the X side and 0.0 elsewhere.  ``mask @ moments.T`` then computes
-        every permutation's X-side moment sums in one BLAS call — the
-        batched kernel's core product (see :mod:`repro.stats.kernel`).
+        to the X side and 0.0 elsewhere, C-contiguous.  ``moments @ mask.T``
+        then computes every permutation's X-side moment sums in one BLAS
+        call — the batched kernel's core product (see
+        :mod:`repro.stats.kernel`).
         """
-        mask = np.zeros((self.n_permutations, self.n_x + self.n_y), dtype=np.float64)
-        np.put_along_axis(mask, self.x_indices, 1.0, axis=1)
-        return mask
+        return self.member.astype(np.float64)
 
     def complement_indices(self) -> np.ndarray:
-        """Y-side pooled indices, derived per row as the complement of X.
+        """Y-side pooled indices, ``(P, n_y)``, sorted within each row.
 
-        Returned sorted within each row; order-insensitive consumers only
-        (sums, medians, quantiles — any statistic of the Y *set*).
+        Order-insensitive consumers only, as for :attr:`x_indices`.
         """
-        total = self.n_x + self.n_y
-        member = np.zeros((self.n_permutations, total), dtype=bool)
-        np.put_along_axis(member, self.x_indices, True, axis=1)
-        rows, cols = np.nonzero(~member)
-        del rows  # row-major np.nonzero already yields per-row sorted columns
-        return cols.reshape(self.n_permutations, self.n_y)
+        return np.nonzero(~self.member)[1].reshape(self.n_permutations, self.n_y)
 
     def mean_greater(self, x: np.ndarray, y: np.ndarray) -> TestResult:
         """One-sided mean-greater test of ``x`` over ``y`` reusing the batch."""
@@ -235,8 +249,9 @@ class SharedPermutations:
             return TestResult(observed, 1.0)
         pooled = center_pooled(np.concatenate([x, y]))
         squared = pooled * pooled
-        x_sum = pooled[self.x_indices].sum(axis=1)
-        x_sq_sum = squared[self.x_indices].sum(axis=1)
+        x_indices = self.x_indices
+        x_sum = pooled[x_indices].sum(axis=1)
+        x_sq_sum = squared[x_indices].sum(axis=1)
         stats = variance_stat_from_moments(
             x_sum, x_sq_sum, float(pooled.sum()), float(squared.sum()), self.n_x, self.n_y
         )
@@ -250,6 +265,18 @@ class SharedPermutations:
                 f"batch ({self.n_x}, {self.n_y}); NaNs must be removed before batching"
             )
         return x, y
+
+
+def _argsort_membership(uniforms: np.ndarray, n_x: int) -> np.ndarray:
+    """X-membership of the first ``n_x`` argsort positions of each row.
+
+    The reference draw the selection in :class:`SharedPermutations`
+    reproduces; called only when a tie at the cut leaves selection
+    ambiguous.
+    """
+    member = np.zeros(uniforms.shape, dtype=bool)
+    np.put_along_axis(member, np.argsort(uniforms, axis=1)[:, :n_x], True, axis=1)
+    return member
 
 
 def _one_sided(observed: float, permuted: np.ndarray) -> TestResult:

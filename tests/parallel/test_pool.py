@@ -169,6 +169,63 @@ def test_crash_right_after_a_ship_never_hangs_the_pool():
     assert out.strip() == "ok"
 
 
+def _payload_size(ctx, payload):
+    return len(payload)
+
+
+def _exit_once_in_init(marker_dir):
+    """Worker init that kills the first worker to run it over ``marker_dir``."""
+    try:
+        fd = os.open(os.path.join(marker_dir, "exited"),
+                     os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return None
+    os.close(fd)
+    time.sleep(0.2)  # let the parent's block write fill the pipe buffer
+    os._exit(13)
+
+
+#: Each trial: the first worker dies in its stage init while the parent is
+#: writing it a 1 MB block, far past the pipe buffer.  A task channel whose
+#: read end the parent also held never broke that write: it blocked forever.
+_DIE_DURING_BIG_SEND_TRIALS = """
+import sys, tempfile
+from repro.parallel import ParallelConfig, ShardPool
+from tests.parallel.test_pool import _exit_once_in_init, _payload_size
+
+big = b"x" * (1 << 20)
+for trial in range(int(sys.argv[1])):
+    with tempfile.TemporaryDirectory() as markers:
+        pool = ShardPool(ParallelConfig(workers=2, ipc_block_size=1),
+                         task_fn=_payload_size, worker_init=_exit_once_in_init,
+                         init_payload=markers)
+        assert pool.run([big] * 4) == [len(big)] * 4, trial
+print("ok")
+"""
+
+
+def test_worker_death_during_a_large_send_never_hangs_the_pool():
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    env.pop("REPRO_FAULTS", None)
+    child = subprocess.Popen(
+        [sys.executable, "-c", _DIE_DURING_BIG_SEND_TRIALS, "3"],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("shard pool hung writing to a worker that died")
+    assert child.returncode == 0, err
+    assert out.strip() == "ok"
+
+
 def test_restart_budget_exhausted_degrades_to_in_process():
     # Every subprocess attempt dies; once the restart budget is spent the
     # remaining shards must complete in the parent process.

@@ -141,3 +141,108 @@ class TestPValueBehaviour:
         assert 0.0 < r2.p_value <= 1.0
         # Re-running on the same batch is deterministic.
         assert batch.mean_greater(m1_x, m1_y).p_value == r1.p_value
+
+
+def argsort_reference_mask(uniforms: np.ndarray, n_x: int) -> np.ndarray:
+    """The classic shuffle: X is the first ``n_x`` argsort positions per row."""
+    order = np.argsort(uniforms, axis=1)
+    mask = np.zeros(uniforms.shape, dtype=bool)
+    for row, chosen in enumerate(order[:, :n_x]):
+        mask[row, chosen] = True
+    return mask
+
+
+class TiedGenerator:
+    """A stand-in Generator that returns fixed uniforms, to plant ties."""
+
+    def __init__(self, rows: list[list[float]]):
+        self.uniforms = np.array(rows, dtype=np.float64)
+
+    def random(self, shape):
+        assert shape == self.uniforms.shape
+        return self.uniforms.copy()
+
+
+EDGE_SHAPES = [
+    (1, 1, 5), (1, 9, 40), (9, 1, 40), (1, 2999, 3), (2999, 1, 3),
+    (5, 5, 1), (250, 750, 1), (17, 40, 33), (1000, 2000, 7), (1499, 1500, 2),
+]
+
+
+class TestSelectedMask:
+    @pytest.mark.parametrize("n_x,n_y,n_permutations", EDGE_SHAPES)
+    def test_mask_equals_argsort_reference(self, n_x, n_y, n_permutations):
+        seed_keys = (n_x, n_y, n_permutations)
+        batch = SharedPermutations(
+            n_x, n_y, n_permutations, derive_rng(5, "mask", *seed_keys)
+        )
+        uniforms = derive_rng(5, "mask", *seed_keys).random(
+            (n_permutations, n_x + n_y)
+        )
+        np.testing.assert_array_equal(batch.member, argsort_reference_mask(uniforms, n_x))
+
+    def test_totals_from_two_to_three_thousand(self):
+        for total in [*range(2, 200), *range(200, 3001, 140)]:
+            for n_x in {1, total // 2 or 1, total - 1}:
+                rng_args = (11, "totals", total, n_x)
+                batch = SharedPermutations(n_x, total - n_x, 3, derive_rng(*rng_args))
+                uniforms = derive_rng(*rng_args).random((3, total))
+                expected = argsort_reference_mask(uniforms, n_x)
+                assert np.array_equal(batch.member, expected), (total, n_x)
+
+    def test_stored_mask_is_bool_and_float_view_matches(self, prng):
+        batch = SharedPermutations(7, 12, 30, prng)
+        assert batch.member.dtype == np.bool_
+        assert batch.member.shape == (30, 19)
+        mask = batch.membership_mask()
+        assert mask.dtype == np.float64 and mask.flags.c_contiguous
+        np.testing.assert_array_equal(mask, batch.member.astype(np.float64))
+
+    @pytest.mark.parametrize("n_x,n_y,n_permutations", EDGE_SHAPES)
+    def test_indices_partition_every_row(self, n_x, n_y, n_permutations, prng):
+        batch = SharedPermutations(n_x, n_y, n_permutations, prng)
+        x_side = batch.x_indices
+        y_side = batch.complement_indices()
+        assert x_side.shape == (n_permutations, n_x)
+        assert y_side.shape == (n_permutations, n_y)
+        everything = np.arange(n_x + n_y)
+        for row in range(n_permutations):
+            combined = np.sort(np.concatenate([x_side[row], y_side[row]]))
+            np.testing.assert_array_equal(combined, everything)
+            assert batch.member[row, x_side[row]].all()
+
+    @pytest.fixture
+    def fallback_calls(self, monkeypatch):
+        """Records every call of the argsort fallback."""
+        from repro.stats import permutation
+
+        calls = []
+        real = permutation._argsort_membership
+        monkeypatch.setattr(
+            permutation, "_argsort_membership",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        return calls
+
+    def test_selection_never_falls_back_without_ties(self, prng, fallback_calls):
+        SharedPermutations(300, 700, 50, prng)
+        assert fallback_calls == []
+
+    def test_tie_at_the_cut_falls_back_to_argsort(self, fallback_calls):
+        rows = [
+            [0.5, 0.9, 0.5, 0.1, 0.7],  # 2nd and 3rd smallest tie at 0.5
+            [0.2, 0.4, 0.6, 0.8, 0.3],  # no tie
+        ]
+        batch = SharedPermutations(2, 3, 2, TiedGenerator(rows))
+        assert len(fallback_calls) == 1
+        expected = argsort_reference_mask(np.array(rows), 2)
+        np.testing.assert_array_equal(batch.member, expected)
+        assert np.count_nonzero(batch.member, axis=1).tolist() == [2, 2]
+        assert batch.member[0, 3] and not batch.member[0, 1]
+        assert batch.member[1].tolist() == [True, False, False, False, True]
+
+    def test_tie_below_the_cut_needs_no_fallback(self, fallback_calls):
+        rows = [[0.1, 0.1, 0.6, 0.3, 0.9]]
+        batch = SharedPermutations(3, 2, 1, TiedGenerator(rows))
+        assert fallback_calls == []
+        assert batch.member[0].tolist() == [True, True, False, True, False]
