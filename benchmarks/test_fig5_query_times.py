@@ -2,9 +2,9 @@
 
 Paper: a sample of comparison queries on ENEDIS all run in roughly the
 same time (a tight histogram), justifying the uniform cost model of the
-TAP.  We time a random sample of comparison queries through the SQL
-engine and check the distribution is tight (90th percentile within a
-small factor of the median).
+TAP.  We time the generated SQL of a random sample of comparison queries
+on stdlib sqlite3 and check the distribution is tight (90th percentile
+within a small factor of the median).
 """
 
 from __future__ import annotations
@@ -54,7 +54,10 @@ def run_experiment(scale: float, n_queries: int) -> list[float]:
     table = enedis_table(scale)
     model = MeasuredCost(table, "enedis")
     queries = sample_queries(table, n_queries, seed=17)
-    return [model.cost(q) for q in queries]
+    try:
+        return [model.cost(q) for q in queries]
+    finally:
+        model.close()
 
 
 def build_report(times: list[float]) -> str:

@@ -3,9 +3,9 @@
 Reconstructs, step by step, the COVID example of Section 3:
 
 1. the comparison query "sum of cases by continent, April vs May" and its
-   tabular result (Figure 2);
+   tabular result (Figure 2), run on stdlib sqlite3;
 2. the hypothesis query postulating the mean-greater insight and its
-   evaluation (Figure 3);
+   evaluation on sqlite3 (Figure 3);
 3. the permutation test of the insight on the raw data, with the
    Benjamini-Hochberg-corrected significance;
 4. the insight's credibility across all hypothesis queries postulating it.
@@ -15,6 +15,7 @@ Run:  python examples/covid_walkthrough.py
 
 from __future__ import annotations
 
+from repro.backend import SqliteBackend
 from repro.datasets import covid_table
 from repro.insights import (
     MEAN_GREATER,
@@ -25,16 +26,21 @@ from repro.insights import (
 from repro.queries import (
     ComparisonQuery,
     bind_table,
+    comparison_aliases,
     comparison_sql,
     evaluate_comparison,
     hypothesis_sql,
 )
-from repro.sqlengine import Catalog, execute_sql
+from repro.relational.table import text_table
 
 
 def main() -> None:
     covid = covid_table(1200)
-    catalog = Catalog({"covid": covid})
+    with SqliteBackend(covid, "covid") as db:
+        walkthrough(covid, db)
+
+
+def walkthrough(covid, db: SqliteBackend) -> None:
 
     # -- Figure 2: the comparison query --------------------------------------
     query = ComparisonQuery(
@@ -48,17 +54,17 @@ def main() -> None:
     sql = bind_table(comparison_sql(query), "covid") + ";"
     print("=== Figure 2: comparison query ===")
     print(sql)
-    result = execute_sql(sql, catalog)
+    rows = db.execute(sql)
     print()
-    print(result.pretty())
+    print(text_table((query.group_by, *comparison_aliases(query)), rows, len(rows)))
 
     # -- Figure 3: the hypothesis query ----------------------------------------
     hyp_sql = bind_table(hypothesis_sql(query, MEAN_GREATER), "covid") + ";"
     print("\n=== Figure 3: hypothesis query ===")
     print(hyp_sql)
-    hyp_result = execute_sql(hyp_sql, catalog)
-    supported = hyp_result.n_rows == 1
-    print(f"\nresult rows: {hyp_result.n_rows} -> the comparison "
+    hyp_rows = db.execute(hyp_sql)
+    supported = len(hyp_rows) == 1
+    print(f"\nresult rows: {len(hyp_rows)} -> the comparison "
           f"{'SUPPORTS' if supported else 'does not support'} the insight")
 
     # Same check through the library's fast path:

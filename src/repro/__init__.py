@@ -23,8 +23,8 @@ Subpackages
 -----------
 ``repro.relational``
     Columnar in-memory relational engine (the RDBMS substrate).
-``repro.sqlengine``
-    SQL parser + executor for the emitted query subset.
+``repro.backend``
+    Execution backends: in-process columnar, and pushdown to stdlib sqlite3.
 ``repro.stats``
     Permutation tests, BH-FDR correction, sampling strategies.
 ``repro.insights``

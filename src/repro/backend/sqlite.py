@@ -2,9 +2,12 @@
 
 The dataset is loaded once into an indexed SQLite table (stdlib
 ``sqlite3``, in-memory by default); every group-by aggregation and
-comparison evaluation is then *pushed down* as a SQL statement generated
-through :mod:`repro.sqlengine`'s AST and formatter — the same machinery
-the notebook renderer uses — and executed by SQLite's own engine.
+comparison evaluation is then *pushed down* as a SQL statement built
+from :mod:`repro.backend.sql_ast` and executed by SQLite's own engine.
+:meth:`SqliteBackend.execute` also runs generated SQL text as is (the
+Figure 5 cost model times comparison queries through it); ``var`` and
+``stddev`` are registered on the connection so every aggregate of
+:data:`~repro.relational.aggregates.AGGREGATE_NAMES` runs there.
 
 The pushed-down statement computes the additive summary columns
 (``count / sum / sum-of-squares / min / max`` per measure), from which the
@@ -23,6 +26,7 @@ measured against an actual DBMS.
 
 from __future__ import annotations
 
+import math
 import sqlite3
 import threading
 from typing import Iterable, Sequence
@@ -31,13 +35,7 @@ import numpy as np
 
 from repro import obs
 from repro.backend.base import AggregateRequest, BackendCapabilities, BackendError
-from repro.queries.comparison import ComparisonQuery
-from repro.queries.evaluate import ComparisonResult, comparison_from_aggregate
-from repro.queries.sqlgen import sql_identifier
-from repro.relational.aggregates import GroupedSummary
-from repro.relational.cube import MaterializedAggregate
-from repro.relational.table import Table
-from repro.sqlengine.ast_nodes import (
+from repro.backend.sql_ast import (
     OrderItem,
     SelectItem,
     SelectStatement,
@@ -48,13 +46,45 @@ from repro.sqlengine.ast_nodes import (
     SqlName,
     TableRef,
     UnionStatement,
+    format_statement,
 )
-from repro.sqlengine.formatter import format_statement
+from repro.queries.comparison import ComparisonQuery
+from repro.queries.evaluate import ComparisonResult, comparison_from_aggregate
+from repro.queries.sqlgen import sql_identifier
+from repro.relational.aggregates import GroupedSummary
+from repro.relational.cube import MaterializedAggregate
+from repro.relational.table import Table
 
 
 def _name(identifier: str) -> SqlName:
     """A (pre-quoted) column reference node for the emitted SQL."""
     return SqlName((sql_identifier(identifier),))
+
+
+class _SampleVariance:
+    """SQL ``var(x)`` as :func:`repro.relational.aggregates.aggregate_all`
+    computes it: sample variance (ddof=1), NULLs skipped, NULL under two
+    values."""
+
+    def __init__(self) -> None:
+        self._values: list[float] = []
+
+    def step(self, value: float | None) -> None:
+        if value is not None:
+            self._values.append(value)
+
+    def finalize(self) -> float | None:
+        if len(self._values) < 2:
+            return None
+        return float(np.var(self._values, ddof=1))
+
+
+class _SampleStddev(_SampleVariance):
+    """SQL ``stddev(x)``: the square root of :class:`_SampleVariance`."""
+
+    def finalize(self) -> float | None:
+        variance = super().finalize()
+        return None if variance is None else math.sqrt(variance)
 
 
 #: Most grouping-set arms fused into one compound statement.  SQLite caps
@@ -100,7 +130,13 @@ class SqliteBackend:
                 self._conn = sqlite3.connect(path or ":memory:", check_same_thread=False)
             except sqlite3.Error as exc:  # pragma: no cover - bad path only
                 raise BackendError(f"cannot open sqlite database: {exc}") from exc
-            self._load()
+            self._conn.create_aggregate("var", 1, _SampleVariance)
+            self._conn.create_aggregate("stddev", 1, _SampleStddev)
+            try:
+                self._load()
+            except sqlite3.Error as exc:
+                self._conn.close()
+                raise BackendError(f"cannot load table {table_name!r} into sqlite: {exc}") from exc
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -149,15 +185,15 @@ class SqliteBackend:
             zip(*columns) if columns else [],
         )
         for index, attr_name in enumerate(schema.categorical_names):
+            index_name = sql_identifier(f"idx_{self._table_name}_{index}")
             cursor.execute(
-                f"CREATE INDEX idx_{self._table_name}_{index} "
-                f"ON {self._sql_table} ({sql_identifier(attr_name)})"
+                f"CREATE INDEX {index_name} ON {self._sql_table} ({sql_identifier(attr_name)})"
             )
         self._conn.commit()
 
     # -- statement execution --------------------------------------------------
 
-    def _execute(self, sql: str) -> list[tuple]:
+    def execute(self, sql: str) -> list[tuple]:
         """Run one SELECT on the shared connection; count it."""
         with self._lock:
             if self._closed:
@@ -166,7 +202,7 @@ class SqliteBackend:
                 try:
                     rows = self._conn.execute(sql).fetchall()
                 except sqlite3.Error as exc:
-                    raise BackendError(f"sqlite rejected pushed-down SQL: {exc}\n{sql}") from exc
+                    raise BackendError(f"sqlite rejected SQL: {exc}\n{sql}") from exc
             self.statements_executed += 1
         obs.counter("backend.statements_executed").inc()
         return rows
@@ -194,7 +230,7 @@ class SqliteBackend:
             where=SqlIsNull(_name(attribute), negated=True),
             distinct=True,
         )
-        rows = self._execute(format_statement(statement))
+        rows = self.execute(format_statement(statement))
         return tuple(sorted(str(value) for (value,) in rows))
 
     #: Orders row-returning statements so results come back in insertion
@@ -209,7 +245,7 @@ class SqliteBackend:
             from_items=(TableRef(self._sql_table),),
             order_by=self._ROWID_ORDER,
         )
-        rows = self._execute(format_statement(statement))
+        rows = self.execute(format_statement(statement))
         return self._rows_to_table(names, rows)
 
     def filter_equals(self, attribute: str, value: str) -> Table:
@@ -221,7 +257,7 @@ class SqliteBackend:
             where=SqlBinary("=", _name(attribute), SqlLiteral(str(value))),
             order_by=self._ROWID_ORDER,
         )
-        rows = self._execute(format_statement(statement))
+        rows = self.execute(format_statement(statement))
         return self._rows_to_table(names, rows)
 
     def _rows_to_table(self, names: Sequence[str], rows: list[tuple]) -> Table:
@@ -277,7 +313,7 @@ class SqliteBackend:
             self._table.schema.require_categorical(attr_name)
         if measures is None:
             measures = self._table.schema.measure_names
-        rows = self._execute(self._aggregate_statement(attrs, measures))
+        rows = self.execute(self._aggregate_statement(attrs, measures))
         attr_pos = {attr_name: axis for axis, attr_name in enumerate(attrs)}
         measure_base = {m: len(attrs) + 5 * i for i, m in enumerate(measures)}
         return self._rows_to_aggregate(attrs, measures, rows, attr_pos, measure_base)
@@ -402,7 +438,7 @@ class SqliteBackend:
             "backend.batch_compile", backend=self.name, sets=len(chunk)
         ):
             sql = self._batch_statement(chunk, union_attrs, union_measures)
-            rows = self._execute(sql)
+            rows = self.execute(sql)
         obs.counter("backend.batched_statements").inc()
         obs.counter("backend.sets_per_statement").inc(len(chunk))
         by_tag: dict[int, list[tuple]] = {tag: [] for tag in range(len(chunk))}

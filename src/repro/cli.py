@@ -28,7 +28,8 @@ Sub-commands
     top-k hotspots, optionally exporting the Chrome trace (``--trace``)
     and a Prometheus-style metrics dump (``--metrics-out``).
 ``recut``
-    Re-solve the TAP over a saved run (no statistics re-run).
+    Re-solve the TAP over a saved run (no statistics re-run) and render it
+    through the same render degradation ladder as ``generate``.
 ``inspect``
     Print the inferred schema, per-column statistics, detected functional
     dependencies, and the comparison-query count of Lemma 3.2.
@@ -463,9 +464,10 @@ def _print_report(run, quiet: bool) -> int:
 
 
 def _cmd_recut(args: argparse.Namespace) -> int:
-    from repro.notebook import build_notebook
     from repro.persistence import load_outcome, resolve_outcome
+    from repro.runtime import parse_fault_plan, resilient_render
 
+    faults = parse_fault_plan(os.environ.get("REPRO_FAULTS"))
     outcome = load_outcome(args.run)
     run = resolve_outcome(outcome, budget=args.budget, epsilon_distance=args.epsilon_distance)
     if not run.selected:
@@ -473,9 +475,10 @@ def _cmd_recut(args: argparse.Namespace) -> int:
         return 1
     table = read_csv(args.csv) if args.csv else None
     table_name = args.csv.stem if args.csv else "dataset"
-    notebook = build_notebook(
-        run.selected, table=table, table_name=table_name,
+    notebook = resilient_render(
+        run, table, table_name=table_name,
         title=f"Comparison notebook — {table_name} (recut)",
+        faults=faults,
     )
     write_ipynb(notebook, args.out)
     print(f"selected {len(run.selected)} of {len(outcome.queries)} saved queries")

@@ -13,7 +13,6 @@ from repro.queries.evaluate import (
     ComparisonResult,
     evaluate_comparison,
     evaluate_comparison_cached,
-    evaluate_comparison_sql,
     supported_types,
 )
 from repro.queries.interestingness import (
@@ -56,7 +55,6 @@ __all__ = [
     "conciseness",
     "evaluate_comparison",
     "evaluate_comparison_cached",
-    "evaluate_comparison_sql",
     "explain_comparison",
     "explanation_sentence",
     "hypothesis_sql",

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.queries.comparison import ComparisonQuery
-from repro.queries.evaluate import evaluate_comparison_sql
+from repro.queries.sqlgen import bind_table, comparison_sql
 from repro.relational.table import Table
+
+if TYPE_CHECKING:
+    from repro.backend.sqlite import SqliteBackend
 
 
 class CostModel(Protocol):
@@ -38,25 +41,41 @@ class UniformCost:
 
 @dataclass(slots=True)
 class MeasuredCost:
-    """Wall-clock cost of running the query's SQL on the engine.
+    """Wall-clock cost of running the query's join-form SQL on sqlite3.
 
-    Results are memoized per query key; use :meth:`timings` to retrieve
-    the raw measurements for the Figure 5 distribution.
+    The table is loaded once, at construction, into a
+    :class:`~repro.backend.SqliteBackend`; only the execution of each
+    query's SQL text is timed.  Results are memoized per query key; use
+    :meth:`timings` to retrieve the raw measurements for the Figure 5
+    distribution.
     """
 
     table: Table
     table_name: str = "dataset"
+    _backend: "SqliteBackend" = field(init=False, repr=False)
     _cache: dict[tuple, float] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        # Imported here: repro.backend depends on repro.queries.
+        from repro.backend.sqlite import SqliteBackend
+
+        self._backend = SqliteBackend(self.table, self.table_name)
 
     def cost(self, query: ComparisonQuery) -> float:
         cached = self._cache.get(query.key)
         if cached is not None:
             return cached
+        query.validate_against(self.table)
+        sql = bind_table(comparison_sql(query), self.table_name)
         start = time.perf_counter()
-        evaluate_comparison_sql(self.table, self.table_name, query)
+        self._backend.execute(sql)
         elapsed = time.perf_counter() - start
         self._cache[query.key] = elapsed
         return elapsed
 
     def timings(self) -> dict[tuple, float]:
         return dict(self._cache)
+
+    def close(self) -> None:
+        """Close the sqlite database holding the table."""
+        self._backend.close()

@@ -1,16 +1,16 @@
-"""Evaluation of comparison queries: direct, cached, and via SQL.
+"""Evaluation of comparison queries: direct and cached.
 
-Three evaluation paths, used by different parts of the reproduction:
+Two evaluation paths, used by different parts of the reproduction:
 
 * :func:`evaluate_comparison` — direct vectorized group-by on the base
   table (what Algorithm 1 does per hypothesis query);
 * :func:`evaluate_comparison_cached` — from Algorithm 2's in-memory
-  partial aggregates, "for free" once the covering group-by is loaded;
-* :func:`evaluate_comparison_sql` — parse + execute the generated SQL on
-  the SQL engine (used to cross-validate the fast paths and to time the
-  Figure 5 run-time distribution).
+  partial aggregates, "for free" once the covering group-by is loaded.
 
-All three return the same :class:`ComparisonResult`.
+Both return the same :class:`ComparisonResult`.  The generated SQL text
+itself runs on stdlib :mod:`sqlite3` through
+:meth:`repro.backend.SqliteBackend.execute`; the test suite checks it
+against these paths.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ import numpy as np
 
 from repro.insights.types import InsightType
 from repro.queries.comparison import ComparisonQuery
-from repro.queries.sqlgen import bind_table, comparison_aliases, comparison_sql
 from repro.relational.cube import MaterializedAggregate, PairAggregate, PartialAggregateCache
 from repro.relational.table import Table
-from repro.sqlengine.executor import Catalog, execute_sql
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,22 +127,6 @@ def _selection_tuples(pair: PairAggregate, query: ComparisonQuery) -> int:
         )
         total += int(sum(counts.values()))
     return total
-
-
-def evaluate_comparison_sql(table: Table, table_name: str, query: ComparisonQuery) -> ComparisonResult:
-    """Evaluation through SQL text + the SQL engine (slow, for validation)."""
-    catalog = Catalog({table_name: table})
-    sql = bind_table(comparison_sql(query), table_name)
-    result = execute_sql(sql, catalog)
-    alias_x, alias_y = comparison_aliases(query)
-    groups = tuple(str(v) for v in result.column(result.schema.names[0]).values())
-    x = np.asarray(result.measure_values(alias_x), dtype=np.float64)
-    y = np.asarray(result.measure_values(alias_y), dtype=np.float64)
-    selection = table.categorical_column(query.selection_attribute)
-    theta = int(
-        selection.equals_mask(query.val).sum() + selection.equals_mask(query.val_other).sum()
-    )
-    return ComparisonResult(query, groups, x, y, theta)
 
 
 def supported_types(

@@ -10,7 +10,8 @@ Two forms of the comparison query are supported, mirroring Section 3.1:
 
 Hypothesis queries (Definition 3.7 / Figure 3) wrap the comparison in a CTE
 and test the insight predicate in a ``HAVING`` over the whole result.
-All emitted SQL parses and runs on :mod:`repro.sqlengine`.
+All emitted SQL is plain SQL that runs on PostgreSQL and on stdlib
+:mod:`sqlite3` (see :meth:`repro.backend.SqliteBackend.execute`).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from repro.queries.comparison import ComparisonQuery
 
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-# Keep in sync with repro.sqlengine.lexer.KEYWORDS; quoting a keyword-like
-# identifier keeps the emitted SQL parseable.
+# Keywords of the statements this module emits.  Identifiers spelled like
+# one are quoted and aliases renamed, so the emitted SQL stays parseable.
+# Changing this set changes the SQL text of affected notebooks.
 _RESERVED = frozenset(
     """
     select from where group by having order asc desc limit as and or not
@@ -108,13 +110,18 @@ def comparison_sql_pivot(query: ComparisonQuery) -> str:
 
 
 def hypothesis_sql(query: ComparisonQuery, insight_type: InsightType) -> str:
-    """Hypothesis-query SQL (Figure 3 shape): CTE + HAVING on the predicate."""
+    """Hypothesis-query SQL (Figure 3 shape): CTE + HAVING on the predicate.
+
+    One row iff the comparison supports the insight; zero rows otherwise,
+    and on an empty comparison.  ``count(*)`` makes the select list an
+    aggregate, which SQLite requires of a query with ``HAVING``.
+    """
     alias_x, alias_y = comparison_aliases(query)
     predicate = insight_type.hypothesis_predicate_sql(alias_x, alias_y)
     comparison = _indent(comparison_sql(query), "  ")
     return (
         f"with comparison as (\n{comparison}\n)\n"
-        f"select {sql_string(insight_type.label)} as hypothesis\n"
+        f"select {sql_string(insight_type.label)} as hypothesis, count(*) as n_groups\n"
         f"from comparison\n"
         f"having {predicate}"
     )

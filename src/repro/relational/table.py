@@ -395,20 +395,29 @@ class Table:
 
     def pretty(self, limit: int = 10) -> str:
         """Plain-text rendering of the first ``limit`` rows (for examples)."""
-        names = self.schema.names
-        rows = self.head(limit).to_rows()
-        cells = [[str(n) for n in names]] + [
-            [f"{v:.4g}" if isinstance(v, float) else str(v) for v in row] for row in rows
-        ]
-        widths = [max(len(r[i]) for r in cells) for i in range(len(names))]
-        lines = []
-        for j, row in enumerate(cells):
-            lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-            if j == 0:
-                lines.append("-+-".join("-" * w for w in widths))
-        if self.n_rows > limit:
-            lines.append(f"... ({self.n_rows - limit} more rows)")
-        return "\n".join(lines)
+        return text_table(self.schema.names, self.head(limit).to_rows(), self.n_rows)
+
+
+def text_table(
+    header: Sequence[str], rows: Sequence[Sequence[object]], n_rows: int
+) -> str:
+    """Plain-text table of ``rows`` under ``header``; floats as ``.4g``.
+
+    ``n_rows`` is the full row count; rows beyond ``rows`` are summarized
+    as a ``... (k more rows)`` line.
+    """
+    cells = [[str(n) for n in header]] + [
+        [f"{v:.4g}" if isinstance(v, float) else str(v) for v in row] for row in rows
+    ]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+    lines = []
+    for j, row in enumerate(cells):
+        lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+        if j == 0:
+            lines.append("-+-".join("-" * w for w in widths))
+    if n_rows > len(rows):
+        lines.append(f"... ({n_rows - len(rows)} more rows)")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

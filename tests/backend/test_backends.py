@@ -20,6 +20,7 @@ from repro.generation import GenerationConfig, PairwiseEvaluator
 from repro.errors import QueryError
 from repro.queries import ComparisonQuery
 from repro.relational import table_from_arrays
+from repro.relational.aggregates import aggregate_all
 
 
 @pytest.fixture(autouse=True)
@@ -180,6 +181,43 @@ class TestSqlIdentifierSafety:
             agg = backend.materialize_aggregate(("group", "order by"), ["select"])
             assert agg.n_groups == 2
             assert backend.filter_equals("group", "a").n_rows == 2
+
+    @pytest.mark.parametrize("name", ["my table", "2021-data", "select", "naïve"])
+    def test_table_names_that_are_not_plain_identifiers(self, table, name):
+        with SqliteBackend(table, name) as backend:
+            assert backend.distinct_values("kind") == ("x", "y")
+            assert backend.materialize_aggregate(("region",), ["amount"]).n_groups == 4
+
+    def test_load_failure_is_a_backend_error(self):
+        # SQLite column names are case-insensitive: "A" and "a" collide.
+        table = table_from_arrays({"A": ["x"], "a": ["y"]}, {"m": [1.0]})
+        with pytest.raises(BackendError, match="duplicate column"):
+            SqliteBackend(table)
+
+
+class TestSqliteExecute:
+    """Raw SQL text through :meth:`SqliteBackend.execute`."""
+
+    def test_counts_statements_and_rejects_bad_sql(self, table):
+        with SqliteBackend(table, "t") as backend:
+            assert backend.execute("select count(*) from t") == [(6,)]
+            assert backend.statements_executed == 1
+            with pytest.raises(BackendError, match="sqlite rejected SQL"):
+                backend.execute("select nope from t")
+            assert backend.statements_executed == 1
+
+    @pytest.mark.parametrize("agg", ["var", "stddev"])
+    def test_sample_moments_match_aggregate_all(self, agg):
+        values = [1.0, None, 4.0, 2.5, None, None]
+        table = table_from_arrays({"g": ["a", "a", "a", "b", "c", "c"]}, {"m": values})
+        with SqliteBackend(table, "t") as backend:
+            rows = dict(backend.execute(f"select g, {agg}(m) from t group by g order by g"))
+            ((overall,),) = backend.execute(f"select {agg}(m) from t")
+        expected = aggregate_all(agg, np.array([np.nan if v is None else v for v in values]))
+        assert overall == pytest.approx(expected, rel=1e-12)
+        assert rows["a"] == pytest.approx(aggregate_all(agg, np.array([1.0, 4.0])), rel=1e-12)
+        assert rows["b"] is None  # one non-NULL value: NULL, as ddof=1 gives NaN
+        assert rows["c"] is None  # only NULLs
 
 
 class TestPairwiseEvaluatorRace:

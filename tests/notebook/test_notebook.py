@@ -2,11 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import ReproConfig, generate_notebook
+from repro.backend import SqliteBackend
 from repro.datasets import covid_table
 from repro.errors import NotebookError
+from repro.generation.generator import GeneratedQuery
 from repro.notebook import (
     MarkdownCell,
     Notebook,
@@ -21,7 +24,8 @@ from repro.notebook import (
     write_ipynb,
     write_sql_script,
 )
-from repro.sqlengine import parse_sql
+from repro.queries import ComparisonQuery, comparison_aliases, evaluate_comparison
+from repro.relational import table_from_arrays
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +41,12 @@ def run(covid):
 @pytest.fixture(scope="module")
 def notebook(covid, run):
     return build_notebook(run.selected, table=covid, table_name="covid", title="T")
+
+
+@pytest.fixture(scope="module")
+def covid_sqlite(covid):
+    with SqliteBackend(covid, "covid") as backend:
+        yield backend
 
 
 class TestCellModel:
@@ -98,10 +108,10 @@ class TestBuild:
         nb = build_notebook(run.selected, table=covid, include_charts=False)
         assert len(nb.cells) == 1 + 2 * len(run.selected)
 
-    def test_all_sql_cells_parse(self, notebook):
+    def test_all_sql_cells_parse(self, notebook, covid_sqlite):
         for cell in notebook.cells:
             if isinstance(cell, SQLCell):
-                parse_sql(cell.sql)
+                assert covid_sqlite.execute(cell.sql)
 
     def test_previews_attached(self, notebook):
         sql_cells = [c for c in notebook.cells if isinstance(c, SQLCell)]
@@ -158,8 +168,8 @@ class TestSqlScript:
         write_sql_script(notebook, path)
         assert path.read_text().startswith("--")
 
-    def test_script_statements_parse(self, notebook):
-        # Extract non-comment chunks and parse each statement.
+    def test_script_statements_parse(self, notebook, covid_sqlite):
+        # Extract non-comment chunks and run each statement on sqlite3.
         script = to_sql_script(notebook)
         statements = []
         current: list[str] = []
@@ -172,4 +182,76 @@ class TestSqlScript:
                 current = []
         assert statements
         for stmt in statements:
-            parse_sql(stmt)
+            assert covid_sqlite.execute(stmt)
+
+
+def hostile_table():
+    """Quote, SQL-keyword, numeric and unicode labels; NaN and all-NaN groups."""
+    rng = np.random.default_rng(3)
+    labels = [
+        "it's", "select", "order", "42", "007", "-3", "1.5", "naïve", "Île-de-France",
+        "a b", "NULLish", "é", "z", "A", "b", "from",
+    ]
+    n = 600
+    group = rng.choice(labels, n)
+    side = rng.choice(["select", "it's", "4", "naïve"], n)
+    measure = rng.normal(100.0, 30.0, n)
+    measure[rng.random(n) < 0.2] = np.nan
+    measure[group == "z"] = np.nan
+    return table_from_arrays(
+        {"group by": group, "sel'attr": side},
+        {"my measure": measure, "big": rng.normal(1e8, 1e6, n)},
+    )
+
+
+def as_float(value):
+    return np.nan if value is None else float(value)
+
+
+def assert_cells_match_sqlite(notebook, table, backend, queries):
+    """Each SQL cell's statement returns its preview's groups and values."""
+    cells = [c for c in notebook.cells if isinstance(c, SQLCell)]
+    assert len(cells) == len(queries)
+    for cell, query in zip(cells, queries):
+        rows = backend.execute(cell.sql)
+        header, _rule, *body = cell.result_preview.splitlines()
+        if len(rows) > 12:
+            assert body.pop() == f"... ({len(rows) - 12} more rows)"
+        shown = rows[:12]
+        assert [line.split(" | ")[0].rstrip() for line in body] == [str(r[0]) for r in shown]
+        alias_x, alias_y = comparison_aliases(query)
+        assert [h.strip() for h in header.split(" | ")] == [query.group_by, alias_x, alias_y]
+        comparison = evaluate_comparison(table, query)
+        assert tuple(str(row[0]) for row in rows) == comparison.groups
+        for column, expected in ((1, comparison.x), (2, comparison.y)):
+            np.testing.assert_allclose(
+                [as_float(row[column]) for row in rows], expected, rtol=1e-9, equal_nan=True
+            )
+
+
+class TestPreviewsMatchSqlite:
+    """Previews come from the comparison result; sqlite3 runs the cell SQL."""
+
+    def test_covid_run(self, covid, run, notebook, covid_sqlite):
+        assert_cells_match_sqlite(
+            notebook, covid, covid_sqlite, [g.query for g in run.selected]
+        )
+
+    def test_hostile_labels(self):
+        table = hostile_table()
+        queries = [
+            ComparisonQuery(a, b, v1, v2, m, agg)
+            for agg in ("count", "sum", "avg", "min", "max", "var", "stddev")
+            for a, b, v1, v2, m in (
+                ("group by", "sel'attr", "it's", "select", "my measure"),
+                ("group by", "sel'attr", "naïve", "4", "big"),
+                ("sel'attr", "group by", "select", "42", "my measure"),
+            )
+        ]
+        generated = [GeneratedQuery(q, 0, 0, (), 0.0) for q in queries]
+        notebook = build_notebook(generated, table=table, table_name="the table")
+        previews = [c.result_preview for c in notebook.cells if isinstance(c, SQLCell)]
+        assert any("more rows" in p for p in previews)
+        assert any("nan" in p for p in previews)
+        with SqliteBackend(table, "the table") as backend:
+            assert_cells_match_sqlite(notebook, table, backend, queries)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.queries import ComparisonQuery, MeasuredCost, UniformCost
 from repro.relational import table_from_arrays
+from repro.relational.aggregates import AGGREGATE_NAMES
 
 
 @pytest.fixture
@@ -34,6 +35,7 @@ class TestMeasuredCost:
         assert first > 0.0
         assert model.cost(query) == first  # memoized, no re-run
         assert model.timings() == {query.key: first}
+        model.close()
 
     def test_distinct_queries_timed_separately(self, table, query):
         model = MeasuredCost(table, "t")
@@ -41,3 +43,11 @@ class TestMeasuredCost:
         model.cost(query)
         model.cost(other)
         assert len(model.timings()) == 2
+        model.close()
+
+    def test_every_aggregate_priced(self, table):
+        model = MeasuredCost(table, "my table")
+        for agg in AGGREGATE_NAMES:
+            assert model.cost(ComparisonQuery("continent", "month", "5", "4", "cases", agg)) > 0
+        assert len(model.timings()) == len(AGGREGATE_NAMES)
+        model.close()

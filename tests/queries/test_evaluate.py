@@ -1,14 +1,17 @@
-"""Unit tests for repro.queries.evaluate — the three paths must agree."""
+"""Unit tests for repro.queries.evaluate — the paths, and the SQL text, must agree."""
 
 import numpy as np
 import pytest
 
+from repro.backend import SqliteBackend
 from repro.insights import MEAN_GREATER, VARIANCE_GREATER
 from repro.queries import (
     ComparisonQuery,
+    bind_table,
+    comparison_sql,
     evaluate_comparison,
     evaluate_comparison_cached,
-    evaluate_comparison_sql,
+    sql_string,
     supported_types,
 )
 from repro.relational import MaterializedAggregate, PartialAggregateCache, table_from_arrays
@@ -68,15 +71,21 @@ class TestDirectEvaluation:
 
 
 class TestPathAgreement:
-    @pytest.mark.parametrize("agg", ["sum", "avg", "min", "max", "count", "var"])
+    @pytest.mark.parametrize("agg", ["sum", "avg", "min", "max", "count", "var", "stddev"])
     def test_direct_vs_sql(self, table, agg):
+        """The generated SQL text, run on sqlite3, returns the direct result."""
         query = ComparisonQuery("continent", "month", "5", "6", "cases", agg)
         direct = evaluate_comparison(table, query)
-        via_sql = evaluate_comparison_sql(table, "t", query)
-        assert direct.groups == via_sql.groups
-        np.testing.assert_allclose(direct.x, via_sql.x, rtol=1e-9, equal_nan=True)
-        np.testing.assert_allclose(direct.y, via_sql.y, rtol=1e-9, equal_nan=True)
-        assert direct.tuples_aggregated == via_sql.tuples_aggregated
+        with SqliteBackend(table, "t") as backend:
+            rows = backend.execute(bind_table(comparison_sql(query), "t"))
+            ((theta,),) = backend.execute(
+                f"select count(*) from t where month = {sql_string(query.val)} "
+                f"or month = {sql_string(query.val_other)}"
+            )
+        assert direct.groups == tuple(row[0] for row in rows)
+        np.testing.assert_allclose(direct.x, [row[1] for row in rows], rtol=1e-9)
+        np.testing.assert_allclose(direct.y, [row[2] for row in rows], rtol=1e-9)
+        assert direct.tuples_aggregated == theta
 
     def test_direct_vs_cached_from_cover(self, table, query):
         cache = PartialAggregateCache()

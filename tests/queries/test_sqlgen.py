@@ -1,7 +1,10 @@
-"""Unit tests for repro.queries.sqlgen — all emitted SQL must parse and run."""
+"""Unit tests for repro.queries.sqlgen — all emitted SQL must run on sqlite3."""
 
+import numpy as np
 import pytest
 
+from repro.backend import SqliteBackend
+from repro.datasets import covid_table
 from repro.insights import MEAN_GREATER, VARIANCE_GREATER
 from repro.queries import (
     ComparisonQuery,
@@ -9,13 +12,13 @@ from repro.queries import (
     comparison_aliases,
     comparison_sql,
     comparison_sql_pivot,
+    evaluate_comparison,
     hypothesis_sql,
     sql_identifier,
     sql_string,
     value_alias,
 )
 from repro.relational import table_from_arrays
-from repro.sqlengine import Catalog, execute_sql, parse_sql
 
 
 @pytest.fixture
@@ -29,6 +32,16 @@ def table():
         {"month": ["4", "5", "4", "5"], "continent": ["EU", "EU", "AS", "AS"]},
         {"cases": [10.0, 30.0, 20.0, 60.0]},
     )
+
+
+@pytest.fixture
+def db(table):
+    with SqliteBackend(table, "covid") as backend:
+        yield backend
+
+
+def run_sql(backend, sql, table_name="covid"):
+    return backend.execute(bind_table(sql, table_name))
 
 
 class TestIdentifiers:
@@ -66,58 +79,59 @@ class TestIdentifiers:
 
 
 class TestGeneratedSQLParses:
-    def test_comparison_sql_parses(self, query):
-        parse_sql(bind_table(comparison_sql(query), "covid"))
+    """sqlite3 accepts every generated form (it parses, then runs them)."""
 
-    def test_pivot_sql_parses(self, query):
-        parse_sql(bind_table(comparison_sql_pivot(query), "covid"))
+    def test_comparison_sql_parses(self, query, db):
+        run_sql(db, comparison_sql(query))
 
-    def test_hypothesis_sql_parses(self, query):
+    def test_pivot_sql_parses(self, query, db):
+        run_sql(db, comparison_sql_pivot(query))
+
+    def test_hypothesis_sql_parses(self, query, db):
         for itype in (MEAN_GREATER, VARIANCE_GREATER):
-            parse_sql(bind_table(hypothesis_sql(query, itype), "covid"))
+            run_sql(db, hypothesis_sql(query, itype))
 
     def test_weird_labels_still_parse(self):
+        t = table_from_arrays(
+            {"group by": ["a", "b"], "sel'attr": ["val'1", "val 2"]}, {"my measure": [1.0, 2.0]}
+        )
         q = ComparisonQuery("group by", "sel'attr", "val'1", "val 2", "my measure", "avg")
-        parse_sql(bind_table(comparison_sql(q), "the table"))
-        parse_sql(bind_table(hypothesis_sql(q, MEAN_GREATER), "the table"))
+        with SqliteBackend(t, "the table") as backend:
+            run_sql(backend, comparison_sql(q), "the table")
+            run_sql(backend, hypothesis_sql(q, MEAN_GREATER), "the table")
 
 
 class TestGeneratedSQLRuns:
-    def test_comparison_sql_result(self, query, table):
-        catalog = Catalog({"covid": table})
-        out = execute_sql(bind_table(comparison_sql(query), "covid"), catalog)
-        assert out.n_rows == 2
-        assert out.to_dict()["continent"] == ["AS", "EU"]
-        assert out.to_dict()["val_5"] == [60.0, 30.0]
-        assert out.to_dict()["val_4"] == [20.0, 10.0]
+    def test_comparison_sql_result(self, query, db):
+        assert run_sql(db, comparison_sql(query)) == [("AS", 60.0, 20.0), ("EU", 30.0, 10.0)]
 
-    def test_pivot_sql_result(self, query, table):
-        catalog = Catalog({"covid": table})
-        out = execute_sql(bind_table(comparison_sql_pivot(query), "covid"), catalog)
-        assert out.n_rows == 4  # (continent, month) combinations
+    def test_pivot_sql_result(self, query, db):
+        assert len(run_sql(db, comparison_sql_pivot(query))) == 4  # (continent, month) pairs
 
-    def test_hypothesis_sql_supports(self, query, table):
-        catalog = Catalog({"covid": table})
-        sql = bind_table(hypothesis_sql(query, MEAN_GREATER), "covid")
-        out = execute_sql(sql, catalog)
-        assert out.n_rows == 1
-        assert out.to_dict()["hypothesis"] == ["mean greater"]
+    def test_hypothesis_sql_supports(self, query, db):
+        assert run_sql(db, hypothesis_sql(query, MEAN_GREATER)) == [("mean greater", 2)]
 
-    def test_hypothesis_sql_not_supported(self, table):
+    def test_hypothesis_sql_not_supported(self, db):
         reversed_query = ComparisonQuery("continent", "month", "4", "5", "cases", "sum")
-        catalog = Catalog({"covid": table})
-        sql = bind_table(hypothesis_sql(reversed_query, MEAN_GREATER), "covid")
-        assert execute_sql(sql, catalog).n_rows == 0
+        assert run_sql(db, hypothesis_sql(reversed_query, MEAN_GREATER)) == []
 
-    def test_join_and_pivot_forms_agree(self, query, table):
-        catalog = Catalog({"covid": table})
-        join_form = execute_sql(bind_table(comparison_sql(query), "covid"), catalog)
-        pivot_form = execute_sql(bind_table(comparison_sql_pivot(query), "covid"), catalog)
+    def test_hypothesis_sql_empty_comparison(self):
+        # b0 rows only under a0; b1 rows only under a1 -> empty join.
+        t = table_from_arrays({"a": ["a0", "a1"], "b": ["b0", "b1"]}, {"m": [1.0, 2.0]})
+        q = ComparisonQuery("a", "b", "b0", "b1", "m", "sum")
+        with SqliteBackend(t, "t") as backend:
+            assert run_sql(backend, comparison_sql(q), "t") == []
+            for itype in (MEAN_GREATER, VARIANCE_GREATER):
+                assert run_sql(backend, hypothesis_sql(q, itype), "t") == []
+
+    def test_join_and_pivot_forms_agree(self, query, db):
+        join_form = run_sql(db, comparison_sql(query))
+        pivot_form = run_sql(db, comparison_sql_pivot(query))
         # Reassemble the pivot rows into the join form's two columns.
         per_group: dict[str, dict[str, float]] = {}
-        for cont, month, value in zip(*pivot_form.to_dict().values()):
+        for cont, month, value in pivot_form:
             per_group.setdefault(cont, {})[month] = value
-        for cont, v5, v4 in zip(*join_form.to_dict().values()):
+        for cont, v5, v4 in join_form:
             assert per_group[cont]["5"] == v5
             assert per_group[cont]["4"] == v4
 
@@ -126,10 +140,6 @@ class TestPivotAndJoinFormsProperty:
     """Property: the two comparison-query SQL forms agree on random data."""
 
     def test_forms_agree_on_random_tables(self):
-        import numpy as np
-
-        from repro.sqlengine import Catalog, execute_sql
-
         for seed in range(6):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(20, 80))
@@ -141,12 +151,37 @@ class TestPivotAndJoinFormsProperty:
                 {"m": rng.normal(0, 5, n)},
             )
             q = ComparisonQuery("g", "s", "s0", "s1", "m", "avg")
-            catalog = Catalog({"d": t})
-            join_form = execute_sql(bind_table(comparison_sql(q), "d"), catalog)
-            pivot_form = execute_sql(bind_table(comparison_sql_pivot(q), "d"), catalog)
+            with SqliteBackend(t, "d") as backend:
+                join_form = run_sql(backend, comparison_sql(q), "d")
+                pivot_form = run_sql(backend, comparison_sql_pivot(q), "d")
             per_group: dict[str, dict[str, float]] = {}
-            for g, s, v in zip(*pivot_form.to_dict().values()):
+            for g, s, v in pivot_form:
                 per_group.setdefault(g, {})[s] = v
-            for g, x, y in zip(*join_form.to_dict().values()):
+            for g, x, y in join_form:
                 assert per_group[g]["s0"] == pytest.approx(x)
                 assert per_group[g]["s1"] == pytest.approx(y)
+
+
+class TestHypothesisSqlMatchesSupport:
+    """Figure 3 semantics on sqlite3: one row iff the comparison supports it."""
+
+    def test_random_covid_queries(self):
+        covid = covid_table(600)
+        rng = np.random.default_rng(11)
+        cats = covid.schema.categorical_names
+        outcomes = set()
+        with SqliteBackend(covid, "covid") as backend:
+            for _ in range(30):
+                a, b = rng.choice(len(cats), 2, replace=False)
+                values = sorted(set(covid.categorical_column(cats[b]).values()))
+                v1, v2 = rng.choice(len(values), 2, replace=False)
+                q = ComparisonQuery(
+                    cats[a], cats[b], values[v1], values[v2], "cases",
+                    ("sum", "avg", "max")[int(rng.integers(3))],
+                )
+                result = evaluate_comparison(covid, q)
+                for itype in (MEAN_GREATER, VARIANCE_GREATER):
+                    rows = run_sql(backend, hypothesis_sql(q, itype))
+                    assert len(rows) == int(result.supports(itype)), (q, itype.code)
+                    outcomes.add(len(rows))
+        assert outcomes == {0, 1}

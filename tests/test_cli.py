@@ -217,6 +217,20 @@ class TestRecut:
         code_cells = [c for c in doc["cells"] if c["cell_type"] == "code"]
         assert all(not c["outputs"] for c in code_cells)
 
+    def test_recut_render_failure_degrades(self, covid_csv, tmp_path, monkeypatch):
+        """recut renders through the render ladder: a killed full render
+        falls back to SQL-only cells instead of failing the command."""
+        saved = tmp_path / "run.json"
+        main(["generate", str(covid_csv), "--budget", "4",
+              "--out", str(tmp_path / "a.ipynb"), "--save-run", str(saved), "--quiet"])
+        monkeypatch.setenv("REPRO_FAULTS", "render:kill")
+        recut_out = tmp_path / "recut.ipynb"
+        assert main(["recut", str(saved), "--budget", "2", "--out", str(recut_out),
+                     "--csv", str(covid_csv)]) == 0
+        doc = json.loads(recut_out.read_text())
+        code_cells = [c for c in doc["cells"] if c["cell_type"] == "code"]
+        assert code_cells and all(not c["outputs"] for c in code_cells)
+
 
 class TestSinceCheckpoint:
     """``--since-checkpoint``: incremental re-runs carried by the checkpoint."""

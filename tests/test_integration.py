@@ -2,32 +2,38 @@
 
 These tests exercise the full paper pipeline on the covid running example:
 CSV round-trip -> generation -> TAP -> notebook -> the emitted SQL
-re-executed on the SQL engine, with cross-checks at every hand-off.
+re-executed on stdlib sqlite3, with cross-checks at every hand-off.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import ReproConfig, generate_notebook, read_csv
+from repro.backend import SqliteBackend
 from repro.datasets import covid_table
 from repro.generation import GenerationConfig
 from repro.insights import insight_type
 from repro.notebook import write_ipynb
 from repro.queries import (
     bind_table,
-    comparison_aliases,
     comparison_sql,
     hypothesis_sql,
     sequence_distance,
 )
 from repro.relational import write_csv
-from repro.sqlengine import Catalog, execute_sql
 
 
 @pytest.fixture(scope="module")
 def covid():
     return covid_table(800)
+
+
+@pytest.fixture(scope="module")
+def db(covid):
+    with SqliteBackend(covid, "covid") as backend:
+        yield backend
 
 
 @pytest.fixture(scope="module")
@@ -41,16 +47,13 @@ class TestFullPipeline:
         queries = [g.query for g in run.selected]
         assert sequence_distance(queries) <= run.epsilon_distance + 1e-9
 
-    def test_selected_queries_execute_via_sql(self, covid, run):
+    def test_selected_queries_execute_via_sql(self, db, run):
         """Every selected query's SQL must run and support its insights."""
-        catalog = Catalog({"covid": covid})
         for generated in run.selected:
-            sql = bind_table(comparison_sql(generated.query), "covid")
-            result = execute_sql(sql, catalog)
-            assert result.n_rows > 0
-            alias_x, alias_y = comparison_aliases(generated.query)
-            x = result.measure_values(alias_x)
-            y = result.measure_values(alias_y)
+            rows = db.execute(bind_table(comparison_sql(generated.query), "covid"))
+            assert rows
+            x = np.array([row[1] for row in rows], dtype=float)
+            y = np.array([row[2] for row in rows], dtype=float)
             for evidence in generated.supported:
                 itype = insight_type(evidence.insight.candidate.type_code)
                 if evidence.insight.candidate.val == generated.query.val:
@@ -58,9 +61,8 @@ class TestFullPipeline:
                 else:
                     assert itype.supports(y, x)
 
-    def test_hypothesis_queries_agree_with_support(self, covid, run):
+    def test_hypothesis_queries_agree_with_support(self, db, run):
         """Figure 3 semantics: hypothesis SQL returns 1 row iff supported."""
-        catalog = Catalog({"covid": covid})
         for generated in run.selected[:3]:
             for evidence in generated.supported:
                 itype = insight_type(evidence.insight.candidate.type_code)
@@ -69,8 +71,7 @@ class TestFullPipeline:
                 if cand.val != oriented.val:
                     continue  # hypothesis SQL tests the query's own orientation
                 sql = bind_table(hypothesis_sql(oriented, itype), "covid")
-                out = execute_sql(sql, catalog)
-                assert out.n_rows == 1
+                assert len(db.execute(sql)) == 1
 
     def test_csv_round_trip_preserves_pipeline(self, covid, tmp_path):
         """Write to CSV, read back, regenerate: same significant insights."""
@@ -85,7 +86,7 @@ class TestFullPipeline:
         keys2 = {i.key for i in run2.outcome.significant}
         assert keys1 == keys2
 
-    def test_ipynb_artifact_complete(self, covid, run, tmp_path):
+    def test_ipynb_artifact_complete(self, covid, db, run, tmp_path):
         notebook = run.to_notebook(covid, table_name="covid", title="Covid")
         path = tmp_path / "covid.ipynb"
         write_ipynb(notebook, path)
@@ -93,10 +94,8 @@ class TestFullPipeline:
         code_cells = [c for c in doc["cells"] if c["cell_type"] == "code"]
         assert len(code_cells) == len(run.selected)
         # Each code cell's SQL must execute against the source table.
-        catalog = Catalog({"covid": covid})
         for cell in code_cells:
-            sql = "".join(cell["source"])
-            assert execute_sql(sql, catalog).n_rows > 0
+            assert db.execute("".join(cell["source"]))
 
     def test_interest_recomputable_from_parts(self, run):
         """interest(q) must equal Definition 4.3 recomputed from the pieces."""
@@ -123,50 +122,41 @@ class TestDeterminism:
 
 
 class TestSQLEngineExtrasOnGeneratedData:
-    """The engine extras (CASE, COUNT DISTINCT, UNION) on a real dataset."""
+    """SQL beyond the generated forms (CASE, COUNT DISTINCT, UNION), run on
+    sqlite3, as an oracle for the relational layer on a real dataset."""
 
-    def test_conditional_aggregation_matches_comparison(self, covid):
+    def test_conditional_aggregation_matches_comparison(self, covid, db):
         """sum(case when month='5' then cases end) must equal the comparison
         query's val-side series — two roads to the same numbers."""
         from repro.queries import ComparisonQuery, evaluate_comparison
-        from repro.sqlengine import Catalog, execute_sql
 
-        catalog = Catalog({"covid": covid})
-        out = execute_sql(
+        rows = db.execute(
             "select continent, sum(case when month = '5' then cases else 0 end) as may "
-            "from covid group by continent order by continent",
-            catalog,
+            "from covid group by continent order by continent"
         )
         query = ComparisonQuery("continent", "month", "5", "4", "cases", "sum")
         result = evaluate_comparison(covid, query)
-        by_group = dict(zip(out.to_dict()["continent"], out.to_dict()["may"]))
+        by_group = dict(rows)
         for group, x in zip(result.groups, result.x):
             assert by_group[str(group)] == pytest.approx(x)
 
-    def test_count_distinct_countries_per_continent(self, covid):
-        from repro.sqlengine import Catalog, execute_sql
-
-        catalog = Catalog({"covid": covid})
-        out = execute_sql(
-            "select continent, count(distinct country) as n from covid "
-            "group by continent",
-            catalog,
+    def test_count_distinct_countries_per_continent(self, covid, db):
+        rows = db.execute(
+            "select continent, count(distinct country) as n from covid group by continent"
         )
-        for continent, n in zip(out.to_dict()["continent"], out.to_dict()["n"]):
+        assert rows
+        for continent, n in rows:
             expected = covid.where_equal("continent", continent).n_distinct("country")
             assert n == expected
 
-    def test_union_of_two_months(self, covid):
-        from repro.sqlengine import Catalog, execute_sql
-
-        catalog = Catalog({"covid": covid})
-        both = execute_sql(
+    def test_union_of_two_months(self, covid, db):
+        both = db.execute(
             "select country from covid where month = '4' "
-            "union select country from covid where month = '5'",
-            catalog,
+            "union select country from covid where month = '5'"
         )
-        via_or = execute_sql(
-            "select distinct country from covid where month = '4' or month = '5'",
-            catalog,
-        )
-        assert sorted(both.to_dict()["country"]) == sorted(via_or.to_dict()["country"])
+        expected = {
+            country
+            for month in ("4", "5")
+            for country in covid.where_equal("month", month).categorical_column("country").values()
+        }
+        assert sorted(country for (country,) in both) == sorted(expected)
