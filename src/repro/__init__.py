@@ -57,9 +57,10 @@ def _read_version() -> str:
     """Resolve the package version from its single source of truth.
 
     Installed (even as an editable/egg-info checkout), package metadata
-    answers; from a bare source tree we parse ``pyproject.toml`` instead.
-    Both views read the same ``[project] version`` field, so the string
-    can never drift from what ``pip`` reports.
+    answers; from a bare source tree we read ``pyproject.toml`` instead
+    (with a regex, since ``tomllib`` is missing on Python 3.10).  Both
+    views read the same ``[project] version`` field, so the string can
+    never drift from what ``pip`` reports.
     """
     try:
         from importlib.metadata import version
@@ -68,12 +69,13 @@ def _read_version() -> str:
     except Exception:  # PackageNotFoundError or exotic metadata backends
         pass
     try:
-        import tomllib
+        import re
         from pathlib import Path
 
         pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
-        with pyproject.open("rb") as fh:
-            return tomllib.load(fh)["project"]["version"]
+        project = pyproject.read_text(encoding="utf-8").split("[project]", 1)[1]
+        project = project.split("\n[", 1)[0]
+        return re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1)
     except Exception:
         return "0.0.0+unknown"
 

@@ -276,7 +276,7 @@ def _config_from_args(args: argparse.Namespace) -> ReproConfig:
     if getattr(args, "backend", None):
         config = config.with_generation(backend=args.backend)
     parallel_changes = {}
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         parallel_changes["workers"] = args.workers
     if getattr(args, "store", None):
         parallel_changes["store"] = args.store

@@ -25,30 +25,6 @@ class QueryError(ReproError):
     """A relational or comparison query is invalid for its target relation."""
 
 
-class SQLSyntaxError(QueryError):
-    """The SQL text could not be tokenized or parsed.
-
-    Attributes
-    ----------
-    line, column:
-        1-based position of the offending token in the SQL source.
-    """
-
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        location = f" (line {line}, column {column})" if line else ""
-        super().__init__(f"{message}{location}")
-        self.line = line
-        self.column = column
-
-
-class PlanningError(QueryError):
-    """The SQL AST is syntactically valid but cannot be planned."""
-
-
-class ExecutionError(QueryError):
-    """A physical operator failed while evaluating a plan."""
-
-
 class StatisticsError(ReproError):
     """A statistical test received invalid input (e.g. empty samples)."""
 
@@ -100,25 +76,6 @@ class ServeError(ReproError):
 
 class UnknownDatasetError(ServeError):
     """The request names a dataset that is not (or no longer) registered."""
-
-
-class AdmissionRejected(ServeError):
-    """Admission control shed the request (queue depth or cost budget).
-
-    Attributes
-    ----------
-    reason:
-        Machine-readable shed reason (``queue-full``, ``cost-budget``,
-        ``injected``, ``circuit-open``).
-    """
-
-    def __init__(self, message: str, reason: str = "queue-full"):
-        super().__init__(message)
-        self.reason = reason
-
-
-class CircuitOpen(ServeError):
-    """The dataset's circuit breaker is open; the request was not run."""
 
 
 class DatasetError(ReproError):

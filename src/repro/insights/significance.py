@@ -71,6 +71,10 @@ class SignificanceConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("permutation", "parametric"):
             raise StatisticsError(f"unknown test engine {self.engine!r}")
+        if self.n_permutations < 1:
+            raise StatisticsError(
+                f"n_permutations must be at least 1, got {self.n_permutations}"
+            )
         if not 0 < self.threshold < 1:
             raise StatisticsError(f"threshold must be in (0, 1), got {self.threshold}")
 

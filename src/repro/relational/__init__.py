@@ -1,10 +1,13 @@
-"""In-memory columnar relational engine (the paper's RDBMS substrate).
+"""In-memory columnar relation and the grouped aggregation the pipeline runs.
 
-The paper runs on PostgreSQL; this package is the drop-in substrate for the
-reproduction: a columnar table model with vectorized selection, grouping,
-aggregation, join, and sort, plus the optimizer-adjacent facilities the
-generation pipeline needs (size estimation, functional-dependency
-detection, and the partial-aggregate cube of Algorithm 2).
+The paper runs its comparison queries on PostgreSQL; here the generated SQL
+runs on stdlib ``sqlite3`` (:mod:`repro.backend`), and this package holds
+what the pipeline itself computes on: a columnar :class:`Table` with CSV
+I/O, dense grouping by dictionary codes (:meth:`Table.group_by_codes`),
+additive per-group summaries (:class:`GroupedSummary`), the
+partial-aggregate cube of Algorithm 2, size estimation,
+functional-dependency detection, and the shared-memory column store.
+There is no join, sort or expression engine.
 """
 
 from repro.relational.aggregates import (
@@ -12,7 +15,6 @@ from repro.relational.aggregates import (
     DEFAULT_COMPARISON_AGGREGATES,
     GroupedSummary,
     aggregate_all,
-    aggregate_grouped,
     is_aggregate,
 )
 from repro.relational.columns import CategoricalColumn, MeasureColumn
@@ -30,38 +32,10 @@ from repro.relational.cube import (
     pair_group_by_sets,
     powerset_group_by_sets,
 )
-from repro.relational.expressions import (
-    And,
-    Arithmetic,
-    Case,
-    ColumnRef,
-    Comparison,
-    Expression,
-    InList,
-    IsNull,
-    Literal,
-    Negate,
-    Not,
-    Or,
-    ScalarFunction,
-    conjunction,
-)
 from repro.relational.functional_deps import (
     FunctionalDependency,
     detect_functional_dependencies,
     related_attributes,
-)
-from repro.relational.operators import (
-    AggregateSpec,
-    distinct,
-    grouped_distinct_count,
-    group_by_aggregate,
-    hash_join,
-    limit,
-    project,
-    select,
-    sort,
-    union_all,
 )
 from repro.relational.schema import Attribute, AttributeKind, Schema, categorical, measure
 from repro.relational.store import (
@@ -85,14 +59,9 @@ from repro.relational.table import Table, table_from_arrays
 __all__ = [
     "AGGREGATE_NAMES",
     "DEFAULT_COMPARISON_AGGREGATES",
-    "AggregateSpec",
-    "And",
-    "Arithmetic",
-    "Case",
     "Attribute",
     "AttributeKind",
     "CategoricalColumn",
-    "ColumnRef",
     "ColumnStore",
     "SharedMemoryStore",
     "TableHandle",
@@ -101,50 +70,30 @@ __all__ = [
     "share_table",
     "shm_available",
     "shm_resident_bytes",
-    "Comparison",
-    "Expression",
     "FunctionalDependency",
     "GroupedSummary",
-    "InList",
-    "IsNull",
-    "Literal",
     "MaterializedAggregate",
     "MeasureColumn",
-    "Negate",
-    "Not",
-    "Or",
     "PairAggregate",
     "PartialAggregateCache",
-    "ScalarFunction",
     "Schema",
     "Table",
     "aggregate_all",
-    "aggregate_grouped",
     "categorical",
     "collect_statistics",
-    "conjunction",
     "detect_functional_dependencies",
-    "distinct",
     "estimate_aggregate_bytes",
     "estimate_group_count",
     "exact_group_count",
-    "group_by_aggregate",
-    "grouped_distinct_count",
-    "hash_join",
     "infer_kinds",
     "is_aggregate",
-    "limit",
     "measure",
     "pair_group_by_sets",
     "powerset_group_by_sets",
-    "project",
     "read_csv",
     "read_csv_text",
     "validate_for_analysis",
     "related_attributes",
-    "select",
-    "sort",
     "table_from_arrays",
-    "union_all",
     "write_csv",
 ]

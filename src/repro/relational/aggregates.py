@@ -7,16 +7,15 @@ The engine supports the SQL aggregates the paper's comparison queries use
 Two evaluation styles are provided:
 
 * :func:`aggregate_all` — aggregate a whole array (no grouping);
-* :func:`aggregate_grouped` — aggregate per group given dense group ids,
-  using ``bincount`` / ``ufunc.at`` so group-by cost is linear in the input.
+* :class:`GroupedSummary` — additive per-group moments given dense group
+  ids, built with ``bincount`` / ``ufunc.at`` so group-by cost is linear in
+  the input; :meth:`GroupedSummary.finalize` derives each aggregate.
 
 NULLs (NaN) are ignored, as in SQL; a group with no non-null value yields
 NaN (``count`` yields 0).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -161,24 +160,3 @@ class GroupedSummary:
                 return np.sqrt(var) if name == "stddev" else var
         raise QueryError(f"unknown aggregate function {name!r}")
 
-
-def aggregate_grouped(
-    name: str, group_ids: np.ndarray, values: np.ndarray, n_groups: int
-) -> np.ndarray:
-    """Per-group aggregate ``name`` of ``values``; convenience wrapper."""
-    if not is_aggregate(name):
-        raise QueryError(f"unknown aggregate function {name!r}")
-    summary = GroupedSummary.from_values(group_ids, values, n_groups)
-    return summary.finalize(name)
-
-
-#: Scalar (non-aggregate) functions available in SQL expressions.
-SCALAR_FUNCTIONS: dict[str, Callable[..., np.ndarray]] = {
-    "abs": np.abs,
-    "round": np.round,
-    "floor": np.floor,
-    "ceil": np.ceil,
-    "sqrt": np.sqrt,
-    "ln": np.log,
-    "exp": np.exp,
-}

@@ -181,10 +181,6 @@ class MeasureColumn:
         finite = self.data[~np.isnan(self.data)]
         return int(np.unique(finite).size)
 
-    def non_null(self) -> np.ndarray:
-        """The non-NaN values, as a fresh contiguous array."""
-        return self.data[~np.isnan(self.data)]
-
     def take(self, indices: np.ndarray) -> "MeasureColumn":
         return MeasureColumn(self.data[indices])
 

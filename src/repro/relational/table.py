@@ -22,7 +22,7 @@ from repro.relational.columns import (
     MeasureColumn,
     column_from_values,
 )
-from repro.relational.schema import Attribute, Schema, categorical, measure
+from repro.relational.schema import Schema, categorical, measure
 
 #: Guards lazy attachment of per-table aggregate caches (double-checked).
 _CACHE_ATTACH_LOCK = threading.Lock()
@@ -270,26 +270,6 @@ class Table:
         schema = self.schema.subset(names)
         return Table(schema, {name: self._columns[name] for name in names})
 
-    def rename(self, mapping: Mapping[str, str]) -> "Table":
-        """Rename columns; attributes keep their kinds."""
-        attrs = []
-        columns = {}
-        for attr in self.schema:
-            new_name = mapping.get(attr.name, attr.name)
-            attrs.append(Attribute(new_name, attr.kind))
-            columns[new_name] = self._columns[attr.name]
-        return Table(Schema(attrs), columns)
-
-    def with_column(self, attribute: Attribute, column: Column) -> "Table":
-        """A new table with one extra column appended."""
-        attrs = list(self.schema) + [attribute]
-        columns = dict(self._columns)
-        columns[attribute.name] = column
-        return Table(Schema(attrs), columns)
-
-    def head(self, n: int) -> "Table":
-        return self.take(np.arange(min(n, self.n_rows)))
-
     # -- append ------------------------------------------------------------------
 
     def append_block(self, rows: "Iterable[Sequence[object]] | Mapping[str, Sequence[object]]") -> "Table":
@@ -375,15 +355,6 @@ class Table:
             radices.append(len(col.categories) + 1)
         return group_codes_from_arrays(code_arrays, radices, self.n_rows)
 
-    def group_keys_table(self, attributes: Sequence[str], grouping: GroupingResult) -> "Table":
-        """Per-group key columns as a table (one row per group)."""
-        attrs = [categorical(name) for name in attributes]
-        columns: dict[str, Column] = {}
-        for name, codes in zip(attributes, grouping.key_codes):
-            source = self.categorical_column(name)
-            columns[name] = CategoricalColumn(codes.astype(np.int32), source.categories)
-        return Table(Schema(attrs), columns)
-
     # -- statistics ---------------------------------------------------------------
 
     def n_distinct(self, name: str) -> int:
@@ -392,10 +363,6 @@ class Table:
     def estimated_bytes(self) -> int:
         """Approximate memory footprint of all columns."""
         return sum(col.estimated_bytes() for col in self._columns.values())
-
-    def pretty(self, limit: int = 10) -> str:
-        """Plain-text rendering of the first ``limit`` rows (for examples)."""
-        return text_table(self.schema.names, self.head(limit).to_rows(), self.n_rows)
 
 
 def text_table(

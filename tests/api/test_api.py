@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro import ReproConfig, Session, generate_notebook, obs
 from repro.datasets import covid_table
-from repro.errors import ReproError
+from repro.errors import ReproError, StatisticsError
 from repro.generation import GenerationConfig
 from repro.generation.pipeline import preset
 from repro.insights import SignificanceConfig
@@ -197,6 +197,13 @@ def test_config_round_trips_through_dict():
     assert rebuilt.backend == "sqlite"
     assert rebuilt.significance.n_permutations == 123
     assert rebuilt.parallel.workers == 3
+
+
+def test_from_dict_rejects_zero_permutations():
+    payload = ReproConfig().to_dict()
+    payload["generation"]["significance"]["n_permutations"] = 0
+    with pytest.raises(StatisticsError, match="n_permutations"):
+        ReproConfig.from_dict(payload)
 
 
 def test_config_dict_is_json_serializable():

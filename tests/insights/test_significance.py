@@ -32,6 +32,11 @@ class TestConfig:
         with pytest.raises(StatisticsError):
             SignificanceConfig(threshold=1.5)
 
+    @pytest.mark.parametrize("n_permutations", [0, -5])
+    def test_n_permutations_validated(self, n_permutations):
+        with pytest.raises(StatisticsError, match="n_permutations must be at least 1"):
+            SignificanceConfig(n_permutations=n_permutations)
+
 
 class TestTestCandidates:
     def test_planted_mean_insights_found(self, planted):

@@ -14,7 +14,14 @@ from repro.queries import (
     sql_string,
     supported_types,
 )
-from repro.relational import MaterializedAggregate, PartialAggregateCache, table_from_arrays
+from repro.relational import (
+    MaterializedAggregate,
+    PartialAggregateCache,
+    Schema,
+    Table,
+    categorical,
+    table_from_arrays,
+)
 from repro.stats import derive_rng
 
 
@@ -97,10 +104,9 @@ class TestPathAgreement:
         assert direct.tuples_aggregated == cached.tuples_aggregated
 
     def test_cached_via_rollup_from_superset(self, table, query):
-        bigger = table.with_column(
-            table.schema["month"].__class__("extra", table.schema["month"].kind),
-            table.column("month").take(np.arange(table.n_rows)),
-        )
+        columns = {name: table.column(name) for name in table.schema.names}
+        columns["extra"] = table.column("month").take(np.arange(table.n_rows))
+        bigger = Table(Schema([*table.schema, categorical("extra")]), columns)
         cache = PartialAggregateCache()
         cache.add(MaterializedAggregate.build(bigger, ["month", "continent", "extra"]))
         cached = evaluate_comparison_cached(cache, query)

@@ -10,7 +10,6 @@ from repro.relational.aggregates import (
     AGGREGATE_NAMES,
     GroupedSummary,
     aggregate_all,
-    aggregate_grouped,
     is_aggregate,
 )
 
@@ -114,12 +113,9 @@ class TestGroupedSummary:
 
 class TestAggregateGrouped:
     def test_wrapper(self):
-        out = aggregate_grouped("sum", np.array([0, 1, 0]), np.array([1.0, 2.0, 3.0]), 2)
+        summary = GroupedSummary.from_values(np.array([0, 1, 0]), np.array([1.0, 2.0, 3.0]), 2)
+        out = summary.finalize("sum")
         assert out.tolist() == [4.0, 2.0]
-
-    def test_unknown_name(self):
-        with pytest.raises(QueryError):
-            aggregate_grouped("bogus", np.array([0]), np.array([1.0]), 1)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
@@ -129,6 +125,6 @@ class TestAggregateGrouped:
         """Group sums must add up to the total sum (additivity)."""
         values = np.asarray(values)
         gids = np.arange(len(values)) % n_groups
-        out = aggregate_grouped("sum", gids, values, n_groups)
+        out = GroupedSummary.from_values(gids, values, n_groups).finalize("sum")
         total = np.nansum(out)
         assert total == pytest.approx(values.sum(), rel=1e-9, abs=1e-6)

@@ -93,10 +93,6 @@ class TestMeasureColumn:
         col = MeasureColumn.from_values(["3.5", " 2 "])
         assert col.to_list() == [3.5, 2.0]
 
-    def test_non_null_strips_nans(self):
-        col = MeasureColumn.from_values([1.0, None, 3.0])
-        assert col.non_null().tolist() == [1.0, 3.0]
-
     def test_n_distinct_ignores_nan(self):
         col = MeasureColumn.from_values([1, 1, 2, None])
         assert col.n_distinct() == 2

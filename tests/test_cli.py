@@ -375,6 +375,21 @@ class TestErrorExits:
         assert main(["generate", "--quiet"]) == 2
         assert "CSV argument is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("permutations", ["0", "-5"])
+    def test_non_positive_permutations(self, covid_csv, permutations, capsys):
+        assert main(["generate", str(covid_csv), "--permutations", permutations,
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "n_permutations must be at least 1" in err
+
+    @pytest.mark.parametrize("command", ["generate", "profile"])
+    def test_zero_workers(self, covid_csv, command, capsys):
+        assert main([command, str(covid_csv), "--workers", "0", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "workers must be at least 1" in err
+
     def test_malformed_fault_plan(self, covid_csv, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FAULTS", "stats")
         assert main(["generate", str(covid_csv), "--quiet"]) == 2
