@@ -27,7 +27,7 @@ from repro.insights.enumeration import enumerate_candidates
 from repro.insights.insight import CandidateInsight, InsightEvidence, TestedInsight
 from repro.insights.significance import finalize_attribute, run_attribute_chunk
 from repro.parallel.shards import (
-    ShardStore,
+    ChunkSink,
     evidence_supported,
     run_stats_shards,
     run_support_shards,
@@ -123,11 +123,10 @@ class StatsStageResult:
     support stage needs, so an interrupted run can resume from here without
     re-running a single permutation test.
 
-    ``memo`` — present when the run was memoizable (no offline sampling,
-    shared permutation batches, and a table version token supplied) —
-    carries the raw per-family test results so a later run over an
-    *appended* table can re-test only the touched pair families
-    (:mod:`repro.stats.delta`).
+    ``memo`` — present when a table version token was supplied and the
+    tests ran on the full table (no offline sampling) — carries the raw
+    per-family test results so a later run over an *appended* table can
+    re-test only the touched pair families (:mod:`repro.stats.delta`).
     """
 
     significant: list[TestedInsight]
@@ -143,29 +142,31 @@ def run_stats_stage(
     progress: Callable[[str], None] | None = None,
     deadline: Deadline | None = None,
     backend: ExecutionBackend | None = None,
-    shard_store: ShardStore | None = None,
     incremental: IncrementalRequest | None = None,
     version: str | None = None,
+    on_chunk: ChunkSink | None = None,
 ) -> StatsStageResult:
     """FD preprocessing, offline sampling, and the statistical tests.
 
     The expensive half of Algorithm 1 (lines 1-3).  ``deadline`` threads a
     cooperative cancellation checkpoint into the test loops; on expiry a
-    :class:`~repro.errors.DeadlineExceeded` escapes with no partial state
-    — unless ``shard_store`` is given, in which case the sharded process
-    pool records each completed shard there (the mid-shard checkpoint) and
-    a resumed run skips them.  ``backend`` supplies the rows the offline
+    :class:`~repro.errors.DeadlineExceeded` escapes with no partial state.
+    ``on_chunk(attribute, candidates, oriented, results)`` sees each tested
+    chunk's raw results as it completes — per shard on the worker pool,
+    per attribute in-process; the run controller records them as the
+    ``stats-partial`` checkpoint.  ``backend`` supplies the rows the offline
     samples draw from; the tests themselves are row-level statistics and
     run in-process or on the worker pool per ``config.parallel``.
 
     ``incremental`` carries a :class:`~repro.stats.delta.StatsMemo` from an
-    earlier run over a *prefix* of ``table`` (the caller has verified the
-    version match); only pair families touched by the appended rows — or
-    whose candidate set changed — are re-tested, and the merged raw results
-    are element-identical to a full run's.  When the memo cannot soundly
-    serve this configuration the stage logs a warning and runs in full.
-    ``version`` is the table's content-version token; when given (and the
-    run is memoizable) the result carries a fresh memo for the next append.
+    earlier run over ``table`` or a *prefix* of it (the caller has verified
+    the version match); only pair families touched by the appended rows —
+    or missing from the memo, or whose candidate set changed — are
+    re-tested, and the merged raw results are element-identical to a full
+    run's.  When the memo cannot soundly serve this configuration the stage
+    logs a warning and runs in full.  ``version`` is the table's
+    content-version token; when given (and the tests ran on the full
+    table) the result carries a fresh memo for the next append.
     """
     config = config or GenerationConfig()
     timings = PhaseTimings()
@@ -223,9 +224,12 @@ def run_stats_stage(
         permutations=config.significance.n_permutations,
         workers=config.parallel.workers,
     ) as sp:
+        # A sampled run keeps no memo: it could serve only a rerun at this
+        # very version, which a resumed ``stats-partial`` memo covers.
         tested, records, plan = _run_tests(
-            test_source, config, deadline, shard_store,
-            delta=delta_input, collect_memo=version is not None,
+            test_source, config, deadline, on_chunk, delta=delta_input,
+            version=version,
+            collect_memo=version is not None and config.sampling is None,
         )
         if plan is not None:
             counters["stats_partitions_skipped"] = plan.skipped
@@ -373,8 +377,9 @@ def _run_tests(
     test_source: Table | dict[str, Table],
     config: GenerationConfig,
     deadline: Deadline | None = None,
-    shard_store: ShardStore | None = None,
+    on_chunk: ChunkSink | None = None,
     delta: tuple[StatsMemo, dict[str, frozenset]] | None = None,
+    version: str | None = None,
     collect_memo: bool = False,
 ) -> tuple[list[TestedInsight], dict[str, list] | None, object]:
     """Run the per-attribute significance tests, possibly sharded.
@@ -385,15 +390,16 @@ def _run_tests(
 
     ``delta`` — ``(memo, dirty_values)`` from a verified prior run — routes
     only the dirty pair families through the runners and splices the
-    memo's stored raw results in for the rest; ``collect_memo`` asks for
-    the per-family records of this run (for the *next* memo).  Returns
+    memo's stored raw results in for the rest; ``version`` is the tested
+    table's content version; ``collect_memo`` asks for the per-family
+    records of this run (for the *next* memo).  Returns
     ``(tested, records_or_None, plan_or_None)``.
 
     ``config.parallel`` picks the execution strategy: the sharded
     subprocess pool of :mod:`repro.parallel` (with worker-side deadline
-    checkpoints, crash isolation, and optional mid-shard checkpointing
-    through ``shard_store``) when more than one worker is configured,
-    plain sequential otherwise.  Both produce identical results — shards
+    checkpoints and crash isolation) when more than one worker is
+    configured, plain sequential otherwise; ``on_chunk`` sees every tested
+    chunk either way.  Both produce identical results — shards
     are cut at pair-family boundaries and permutation batches derive their
     RNG from chunk-independent keys.  The incremental path feeds its dirty
     work through the same runner, so the parity holds there too.
@@ -421,19 +427,16 @@ def _run_tests(
         if candidates:
             work.append((attribute, sample, candidates))
 
-    memoizable = config.sampling is None and config.significance.share_across_pairs
-
     plan = None
     if delta is not None:
         memo, dirty_values = delta
-        plan = plan_incremental(memo, work, dirty_values, config)
+        plan = plan_incremental(memo, work, dirty_values, config, version)
 
     if plan is not None:
         raw: dict[str, tuple[list, list]] = {}
         if plan.dirty_work:
             _execute_tests(
-                plan.dirty_work, config, deadline, shard_store,
-                checkpoint, raw_out=raw,
+                plan.dirty_work, config, deadline, on_chunk, checkpoint, raw_out=raw
             )
         tested: list[TestedInsight] = []
         records: dict[str, list] = {}
@@ -445,13 +448,10 @@ def _run_tests(
             records[attribute] = family_records
         return tested, (records if collect_memo else None), plan
 
-    want_raw = collect_memo and memoizable
-    raw = {} if want_raw else None
-    tested = _execute_tests(
-        work, config, deadline, shard_store, checkpoint, raw_out=raw
-    )
+    raw = {} if collect_memo else None
+    tested = _execute_tests(work, config, deadline, on_chunk, checkpoint, raw_out=raw)
     records = None
-    if want_raw:
+    if collect_memo:
         records = {
             attribute: segment_families(candidates, *raw.get(attribute, ((), ())))
             for attribute, _, candidates in work
@@ -463,7 +463,7 @@ def _execute_tests(
     work: list[tuple[str, Table, list[CandidateInsight]]],
     config: GenerationConfig,
     deadline: Deadline | None,
-    shard_store: ShardStore | None,
+    on_chunk: ChunkSink | None,
     checkpoint,
     raw_out: dict[str, tuple[list, list]] | None = None,
 ) -> list[TestedInsight]:
@@ -479,7 +479,7 @@ def _execute_tests(
     if config.parallel.active:
         return run_stats_shards(
             work, config.significance, config.parallel, deadline,
-            store=shard_store, raw_out=raw_out,
+            on_chunk=on_chunk, raw_out=raw_out,
         )
 
     tested: list[TestedInsight] = []
@@ -487,6 +487,8 @@ def _execute_tests(
         oriented, results = run_attribute_chunk(
             sample, attribute, candidates, config.significance, checkpoint
         )
+        if on_chunk is not None:
+            on_chunk(attribute, candidates, oriented, results)
         if raw_out is not None:
             raw_out[attribute] = (list(oriented), list(results))
         tested.extend(finalize_attribute(oriented, results, config.significance))

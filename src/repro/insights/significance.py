@@ -85,6 +85,8 @@ class _BatchCache:
     Each batch's RNG is *derived from its key* (seed, attribute, sizes)
     rather than drawn from a shared sequential stream, so results are
     identical however the candidate list is chunked or parallelized.
+    Without sharing, a fresh batch's key adds the requesting candidate's
+    unoriented key, which is just as chunk-independent.
     """
 
     def __init__(self, seed: int, attribute: str, n_permutations: int, share: bool):
@@ -93,16 +95,15 @@ class _BatchCache:
         self._n_permutations = n_permutations
         self._share = share
         self._cache: dict[tuple[int, int], SharedPermutations] = {}
-        self._fresh_counter = 0
 
     def _make(self, n_x: int, n_y: int, extra: object = None) -> SharedPermutations:
         rng = derive_rng(self._seed, "perm-batch", self._attribute, n_x, n_y, extra)
         return SharedPermutations(n_x, n_y, self._n_permutations, rng)
 
-    def get(self, n_x: int, n_y: int) -> SharedPermutations:
+    def get(self, n_x: int, n_y: int, candidate: CandidateInsight) -> SharedPermutations:
+        """The batch for these sizes; ``candidate`` is the unoriented request."""
         if not self._share:
-            self._fresh_counter += 1
-            return self._make(n_x, n_y, self._fresh_counter)
+            return self._make(n_x, n_y, candidate.key)
         key = (n_x, n_y)
         batch = self._cache.get(key)
         if batch is None:
@@ -317,7 +318,7 @@ def run_attribute_chunk(
                 results.append(itype.parametric_test(side_x, side_y))
                 advance(1)
                 continue
-            batch = batches.get(side_x.size, side_y.size)
+            batch = batches.get(side_x.size, side_y.size, candidate)
             slot = len(results)
             oriented.append(final)
             results.append(None)

@@ -19,11 +19,7 @@ from repro.parallel.config import (
 )
 from repro.parallel.fleet import WorkerFleet, current_fleet, use_fleet
 from repro.parallel.pool import ShardPool, WorkerContext, WorkerCrashed
-from repro.parallel.shards import (
-    ShardStore,
-    run_stats_shards,
-    run_support_shards,
-)
+from repro.parallel.shards import run_stats_shards, run_support_shards
 
 __all__ = [
     "SHM_ENV_VAR",
@@ -31,7 +27,6 @@ __all__ = [
     "WORKERS_ENV_VAR",
     "ParallelConfig",
     "ShardPool",
-    "ShardStore",
     "WorkerContext",
     "WorkerCrashed",
     "WorkerFleet",

@@ -118,6 +118,26 @@ def _pool_context() -> mp.context.BaseContext:
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
+#: How often an idle worker checks that its parent is still alive.
+_PARENT_POLL_SECONDS = 1.0
+
+
+def _next_message(task_conn, parent_pid: int) -> bytes | None:
+    """The next pre-pickled message, or None once the parent is gone.
+
+    A forked worker inherits the write ends of its siblings' task pipes
+    (and of its own), so the parent's death does not always surface as
+    EOF; the worker also watches for being re-parented.
+    """
+    while not task_conn.poll(_PARENT_POLL_SECONDS):
+        if os.getppid() != parent_pid:
+            return None
+    try:
+        return task_conn.recv_bytes()
+    except EOFError:
+        return None
+
+
 def _make_worker_checkpoint(cancel_value, epoch: int,
                             deadline: Deadline | None, label: str):
     def checkpoint() -> None:
@@ -152,7 +172,7 @@ class _Stage:
 def _fleet_worker_main(worker_id: int, task_conn, result_conn,
                        cancel_value) -> None:
     """Worker loop: serve stage setups and task blocks until an empty
-    message (the stop sentinel) or EOF.
+    message (the stop sentinel), EOF, or the parent's death.
 
     Messages arrive and leave as pre-pickled bytes (the parent counts
     them).  A setup message carries the stage's init blob; its digest
@@ -178,12 +198,10 @@ def _fleet_worker_main(worker_id: int, task_conn, result_conn,
             pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
         )
 
+    parent_pid = os.getppid()
     try:
         while True:
-            try:
-                raw = task_conn.recv_bytes()
-            except EOFError:  # the parent is gone
-                break
+            raw = _next_message(task_conn, parent_pid)
             if not raw:
                 break
             message = pickle.loads(raw)

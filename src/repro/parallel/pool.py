@@ -198,20 +198,17 @@ class ShardPool:
         self,
         payloads: Sequence[Any],
         on_result: Callable[[int, Any], None] | None = None,
-        skip: set[int] | frozenset[int] = frozenset(),
     ) -> list[Any]:
         """Execute every payload; return results in payload order.
 
         ``on_result(task_id, result)`` fires as each shard completes (in
-        completion order — the mid-shard checkpoint hook).  ``skip`` holds
-        task ids already satisfied by a resumed checkpoint; their result
-        slots stay ``None`` for the caller to fill.  Worker-side Python
-        exceptions re-raise in the parent type-mapped; worker *deaths* are
-        absorbed up to the restart budget, then the pool degrades to
-        in-process execution.
+        completion order — the mid-stage checkpoint hook).  Worker-side
+        Python exceptions re-raise in the parent type-mapped; worker
+        *deaths* are absorbed up to the restart budget, then the pool
+        degrades to in-process execution.
         """
         results: list[Any] = [None] * len(payloads)
-        todo = [i for i in range(len(payloads)) if i not in skip]
+        todo = list(range(len(payloads)))
         if not todo:
             return results
         n_workers = min(self._parallel.workers, len(todo))

@@ -8,9 +8,11 @@ decides where it runs.  Two shard shapes exist:
   results merge per attribute *in chunk order* before the BH correction,
   and every permutation batch derives its RNG from the root seed plus a
   chunk-independent key, so any worker count reproduces the sequential
-  results bit for bit.  Completed shards can be recorded in a
-  :class:`ShardStore` (the mid-shard checkpoint hook) and skipped on
-  resume.
+  results bit for bit.  Each completed shard is handed to an ``on_chunk``
+  sink as it lands; the run controller records its pair families in a
+  :class:`~repro.stats.delta.StatsMemo` (the ``stats-partial``
+  checkpoint), and a resumed run re-tests only the families that memo
+  lacks — shards themselves are never stored.
 
 * **support shards** — one grouping attribute's slice of the hypothesis
   evaluation.  A worker evaluates every (pair-group × its grouping ×
@@ -29,8 +31,7 @@ the main trace by the pool.
 
 from __future__ import annotations
 
-import logging
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.insights.insight import CandidateInsight, InsightEvidence, TestedInsight
@@ -50,43 +51,18 @@ from repro.relational.table import Table
 from repro.runtime.deadline import Deadline
 from repro.stats.permutation import TestResult
 
-logger = logging.getLogger(__name__)
-
 __all__ = [
-    "ShardStore",
+    "ChunkSink",
     "evidence_supported",
     "run_stats_shards",
     "run_support_shards",
-    "stats_shard_ids",
 ]
 
-
-class ShardStore:
-    """Completed stats shards, keyed by shard id (the mid-shard checkpoint).
-
-    The base class is a plain in-memory dict; the persistent variant
-    (:class:`repro.persistence.PersistentShardStore`) overrides
-    :meth:`put` to also write the ``stats-partial`` checkpoint file.
-    A store only makes sense for one (config, dataset) pair — the
-    persistent variant guards that with a config token.
-    """
-
-    def __init__(self, completed: dict[str, tuple[list, list]] | None = None):
-        self._completed: dict[str, tuple[list, list]] = dict(completed or {})
-
-    def get(self, shard_id: str) -> tuple[list, list] | None:
-        return self._completed.get(shard_id)
-
-    def put(
-        self,
-        shard_id: str,
-        oriented: list[CandidateInsight],
-        results: list[TestResult],
-    ) -> None:
-        self._completed[shard_id] = (oriented, results)
-
-    def __len__(self) -> int:
-        return len(self._completed)
+#: ``(attribute, candidates, oriented, results)`` of one tested chunk.
+ChunkSink = Callable[
+    [str, Sequence[CandidateInsight], Sequence[CandidateInsight], Sequence[TestResult]],
+    None,
+]
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +73,13 @@ class ShardStore:
 def _stats_jobs(
     work: Sequence[tuple[str, Table, list[CandidateInsight]]],
     chunk_size: int,
-) -> list[tuple[str, str, list[CandidateInsight]]]:
-    """``(shard_id, attribute, chunk)`` jobs; ids are stable across runs."""
-    jobs = []
-    for attribute, _, candidates in work:
-        for index, chunk in enumerate(family_chunks(candidates, chunk_size)):
-            jobs.append((f"{attribute}#{index}", attribute, chunk))
-    return jobs
-
-
-def stats_shard_ids(
-    work: Sequence[tuple[str, Table, list[CandidateInsight]]],
-    chunk_size: int,
-) -> list[str]:
-    """The shard ids a run over ``work`` would produce (resume planning)."""
-    return [shard_id for shard_id, _, _ in _stats_jobs(work, chunk_size)]
+) -> list[tuple[str, list[CandidateInsight]]]:
+    """``(attribute, chunk)`` jobs, in work order."""
+    return [
+        (attribute, chunk)
+        for attribute, _, candidates in work
+        for chunk in family_chunks(candidates, chunk_size)
+    ]
 
 
 def _stats_worker_init(payload):
@@ -131,7 +99,7 @@ def _stats_worker_init(payload):
 
 def _stats_task(ctx: WorkerContext, payload) -> tuple[list, list]:
     tables, config = ctx.state
-    _, attribute, chunk = payload
+    attribute, chunk = payload
     return run_attribute_chunk(
         tables[attribute], attribute, chunk, config, checkpoint=ctx.checkpoint
     )
@@ -147,7 +115,7 @@ def run_stats_shards(
     config: SignificanceConfig,
     parallel: ParallelConfig,
     deadline: Deadline | None = None,
-    store: ShardStore | None = None,
+    on_chunk: ChunkSink | None = None,
     raw_out: dict[str, tuple[list, list]] | None = None,
 ) -> list[TestedInsight]:
     """Test every attribute's candidates across the shard pool.
@@ -156,9 +124,11 @@ def run_stats_shards(
     produces them: attributes in ``work`` order, candidates in enumeration
     order, BH applied per attribute family over the merged chunks.
 
-    When ``raw_out`` is given it receives, per attribute, the merged raw
-    ``(oriented, results)`` sequences *before* the BH correction — the
-    incremental stats stage memoizes these per pair family.
+    ``on_chunk`` fires in the parent as each shard completes (in
+    completion order).  When ``raw_out`` is given it receives, per
+    attribute, the merged raw ``(oriented, results)`` sequences *before*
+    the BH correction — the incremental stats stage memoizes these per
+    pair family.
     """
     jobs = _stats_jobs(work, parallel.chunk_size)
     tables = {attribute: sample for attribute, sample, _ in work}
@@ -189,35 +159,22 @@ def run_stats_shards(
         deadline=deadline,
     )
 
-    skip: set[int] = set()
-    restored: dict[int, tuple[list, list]] = {}
     on_result = None
-    if store is not None:
-        for index, (shard_id, _, _) in enumerate(jobs):
-            cached = store.get(shard_id)
-            if cached is not None:
-                skip.add(index)
-                restored[index] = cached
-        if skip:
-            logger.info("stats: resuming with %d/%d shard(s) from checkpoint",
-                        len(skip), len(jobs))
+    if on_chunk is not None:
 
         def on_result(index: int, value) -> None:
-            oriented, results = value
-            store.put(jobs[index][0], oriented, results)
+            on_chunk(*jobs[index], *value)
 
     try:
-        outputs = pool.run(jobs, on_result=on_result, skip=frozenset(skip))
+        outputs = pool.run(jobs, on_result=on_result)
     finally:
         for owned_store in owned:
             owned_store.release()
-    for index, cached in restored.items():
-        outputs[index] = cached
 
     merged: dict[str, tuple[list, list]] = {
         attribute: ([], []) for attribute, _, _ in work
     }
-    for (shard_id, attribute, _), (oriented, results) in zip(jobs, outputs):
+    for (attribute, _), (oriented, results) in zip(jobs, outputs):
         merged[attribute][0].extend(oriented)
         merged[attribute][1].extend(results)
     if raw_out is not None:

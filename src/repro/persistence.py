@@ -17,10 +17,9 @@ The format is versioned, plain JSON, and contains only derived artifacts
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.errors import ReproError
@@ -33,20 +32,19 @@ from repro.generation.generator import (
 )
 from repro.generation.pipeline import NotebookRun
 from repro.insights.insight import CandidateInsight, InsightEvidence, TestedInsight
-from repro.parallel.shards import ShardStore
 from repro.queries.comparison import ComparisonQuery
 from repro.queries.distance import DEFAULT_WEIGHTS, DistanceWeights
 from repro.runtime.controller import resilient_generate
 from repro.runtime.report import RunReport
 from repro.stats.delta import StatsMemo
-from repro.stats.permutation import TestResult
 
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
 #: Version of the stage-checkpoint format (independent of saved runs).
-CHECKPOINT_VERSION = 1
+#: Version 2 stamps every checkpoint with its table's content version.
+CHECKPOINT_VERSION = 2
 
 
 class PersistenceError(ReproError):
@@ -263,9 +261,10 @@ class RunCheckpoint:
     """A loaded stage checkpoint: what completed, ready to resume from.
 
     ``stage`` names the last completed stage (``"stats"``,
-    ``"generation"``, or ``"stats-partial"`` — a mid-stage snapshot of
-    completed stats shards); the matching payload field is populated.
-    The TAP and render stages are cheap and always re-run on resume.
+    ``"generation"``, or ``"stats-partial"`` — a mid-stage snapshot whose
+    only payload is the memo of the pair families tested so far); the
+    matching payload field is populated.  The TAP and render stages are
+    cheap and always re-run on resume.
     """
 
     stage: str
@@ -273,140 +272,13 @@ class RunCheckpoint:
     outcome: GenerationOutcome | None = None
     report: RunReport | None = None
     source: Path | None = None
-    #: ``stats-partial`` only: completed shards keyed by shard id, and the
-    #: config token they were produced under (mismatched tokens are
-    #: ignored on resume rather than mixing incompatible test results).
-    partial_shards: dict[str, tuple[list, list]] = field(default_factory=dict)
-    partial_token: str | None = None
-    #: The run's per-family stats memo, when the checkpointed run was
-    #: memoizable — the seed of a ``--since-checkpoint`` incremental run.
+    #: The run's per-family stats memo: the completed families of a
+    #: ``stats-partial`` checkpoint, or, after the stats stage, the seed of
+    #: a ``--since-checkpoint`` incremental run.
     memo: StatsMemo | None = None
-
-
-def _candidate_to_dict(candidate: CandidateInsight) -> dict:
-    return {
-        "measure": candidate.measure,
-        "attribute": candidate.attribute,
-        "val": candidate.val,
-        "val_other": candidate.val_other,
-        "type": candidate.type_code,
-    }
-
-
-def _candidate_from_dict(data: dict) -> CandidateInsight:
-    return CandidateInsight(
-        data["measure"], data["attribute"], data["val"], data["val_other"], data["type"]
-    )
-
-
-def stats_config_token(config: GenerationConfig, n_rows: int) -> str:
-    """Fingerprint of everything that shapes stats-shard ids and contents.
-
-    A ``stats-partial`` checkpoint is only reusable when the resumed run
-    would cut identical shards and test them identically; any drift in
-    these fields silently invalidates the partial state (the shards are
-    re-run, never mixed).
-    """
-    significance = config.significance
-    payload = {
-        "n_rows": n_rows,
-        "backend": config.backend,
-        "insight_types": list(config.insight_types),
-        "max_pairs_per_attribute": config.max_pairs_per_attribute,
-        "sampling": (
-            [config.sampling.strategy, config.sampling.rate]
-            if config.sampling is not None else None
-        ),
-        "significance": {
-            "n_permutations": significance.n_permutations,
-            "threshold": significance.threshold,
-            "engine": significance.engine,
-            "apply_bh": significance.apply_bh,
-            "share_across_pairs": significance.share_across_pairs,
-            "seed": significance.seed,
-            # Constant since the legacy kernel was removed; kept so tokens
-            # of checkpoints written before then still match.
-            "kernel": "batched",
-        },
-        "chunk_size": config.parallel.chunk_size,
-    }
-    digest = hashlib.blake2s(
-        json.dumps(payload, sort_keys=True).encode("utf-8"), digest_size=8
-    )
-    return digest.hexdigest()
-
-
-class PersistentShardStore(ShardStore):
-    """A :class:`~repro.parallel.shards.ShardStore` backed by a checkpoint file.
-
-    Every completed stats shard rewrites the ``stats-partial`` checkpoint
-    (atomically), so a run killed mid-stage resumes from its last finished
-    shard.  The file is superseded by the regular ``stats`` checkpoint the
-    controller writes once the stage completes.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        token: str,
-        completed: dict[str, tuple[list, list]] | None = None,
-    ):
-        super().__init__(completed)
-        self._path = Path(path)
-        self._token = token
-
-    @classmethod
-    def open(cls, path: str | Path, token: str,
-             resume: RunCheckpoint | None = None) -> "PersistentShardStore":
-        """A store at ``path``, preloaded from a matching partial resume."""
-        completed = None
-        if resume is not None and resume.stage == "stats-partial":
-            if resume.partial_token == token:
-                completed = resume.partial_shards
-            else:
-                import logging
-
-                logging.getLogger(__name__).warning(
-                    "ignoring stats-partial checkpoint: config token %s does "
-                    "not match this run's %s", resume.partial_token, token,
-                )
-        return cls(path, token, completed)
-
-    def put(self, shard_id, oriented, results) -> None:
-        super().put(shard_id, oriented, results)
-        self._write()
-
-    def _write(self) -> None:
-        shards = {}
-        for shard_id, (oriented, results) in sorted(self._completed.items()):
-            shards[shard_id] = {
-                "candidates": [_candidate_to_dict(c) for c in oriented],
-                "results": [[r.statistic, r.p_value] for r in results],
-            }
-        data = {
-            "schema_version": CHECKPOINT_VERSION,
-            "kind": "checkpoint",
-            "stage": "stats-partial",
-            "token": self._token,
-            "shards": shards,
-        }
-        scratch = self._path.with_name(self._path.name + ".tmp")
-        scratch.write_text(json.dumps(data, indent=1), encoding="utf-8")
-        scratch.replace(self._path)
-
-
-def _partial_shards_from_dict(data: dict) -> dict[str, tuple[list, list]]:
-    shards: dict[str, tuple[list, list]] = {}
-    for shard_id, payload in data.items():
-        oriented = [_candidate_from_dict(c) for c in payload["candidates"]]
-        results = [TestResult(float(s), float(p)) for s, p in payload["results"]]
-        if len(oriented) != len(results):
-            raise PersistenceError(
-                f"shard {shard_id!r} has {len(oriented)} candidates but "
-                f"{len(results)} results"
-            )
-        shards[shard_id] = (oriented, results)
-    return shards
+    #: Content version of the table the checkpointed run read; a resume
+    #: over any other table is refused.
+    version: str | None = None
 
 
 def save_checkpoint(
@@ -415,22 +287,35 @@ def save_checkpoint(
     outcome: GenerationOutcome | None = None,
     report: RunReport | None = None,
     memo: StatsMemo | None = None,
+    version: str | None = None,
 ) -> None:
     """Write a stage snapshot; the generation outcome supersedes stats.
 
-    ``memo`` rides along when the run was memoizable: a later
+    ``memo`` rides along when the run kept one: a later
     ``--since-checkpoint`` run over a grown copy of the same data reuses
-    it to re-test only the pair families the appended rows touched.
+    it to re-test only the pair families the appended rows touched.  A
+    memo alone is the ``stats-partial`` checkpoint the controller writes
+    while the stats stage runs.  ``version``, required, is the content
+    version of the run's table.
 
     The write goes through a temporary file and an atomic rename so a
     crash mid-checkpoint never leaves a truncated file behind.
     """
-    if outcome is None and stats is None:
-        raise PersistenceError("a checkpoint needs a stats result or an outcome")
+    if outcome is not None:
+        stage = "generation"
+    elif stats is not None:
+        stage = "stats"
+    elif memo is not None:
+        stage = "stats-partial"
+    else:
+        raise PersistenceError("a checkpoint needs a stats result, an outcome or a memo")
+    if version is None:
+        raise PersistenceError("a checkpoint needs its table's content version")
     data: dict = {
         "schema_version": CHECKPOINT_VERSION,
         "kind": "checkpoint",
-        "stage": "generation" if outcome is not None else "stats",
+        "stage": stage,
+        "version": version,
     }
     if outcome is not None:
         data["outcome"] = outcome_to_dict(outcome)
@@ -481,10 +366,11 @@ def load_checkpoint(path: str | Path) -> RunCheckpoint:
     stage = data.get("stage")
     if stage not in ("stats", "generation", "stats-partial"):
         raise PersistenceError(f"checkpoint names unknown stage {stage!r}")
+    version = data.get("version")
+    if not isinstance(version, str):
+        raise PersistenceError(f"checkpoint {path} carries no table version")
     stats = None
     outcome = None
-    partial: dict[str, tuple[list, list]] = {}
-    token = None
     if stage == "generation":
         if not isinstance(data.get("outcome"), dict):
             raise PersistenceError(
@@ -497,12 +383,6 @@ def load_checkpoint(path: str | Path) -> RunCheckpoint:
                 f"checkpoint {path} names stage 'stats' but carries no stats payload"
             )
         stats = stats_stage_from_dict(data["stats"])
-    else:
-        try:
-            partial = _partial_shards_from_dict(data.get("shards", {}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PersistenceError(f"malformed stats-partial checkpoint: {exc}") from exc
-        token = data.get("token")
     try:
         report = RunReport.from_dict(data["report"]) if data.get("report") else None
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -520,9 +400,12 @@ def load_checkpoint(path: str | Path) -> RunCheckpoint:
                 "ignoring malformed incremental payload in checkpoint %s: %s",
                 path, exc,
             )
+    if stage == "stats-partial" and memo is None:
+        raise PersistenceError(
+            f"checkpoint {path} names stage 'stats-partial' but carries no memo"
+        )
     return RunCheckpoint(stage, stats=stats, outcome=outcome, report=report,
-                         source=path, partial_shards=partial, partial_token=token,
-                         memo=memo)
+                         source=path, memo=memo, version=version)
 
 
 def resolve_outcome(

@@ -22,8 +22,13 @@ render:
     previews + charts → SQL-only cells → skeleton notebook.
 
 Stage boundaries checkpoint through :mod:`repro.persistence` when a
-checkpoint path is given; :func:`resilient_generate` accepts a loaded
-checkpoint to resume without re-running completed stages.
+checkpoint path is given, and the stats stage checkpoints mid-stage too:
+each tested chunk's pair families join a :class:`~repro.stats.delta
+.StatsMemo` written as the ``stats-partial`` checkpoint.
+:func:`resilient_generate` accepts a loaded checkpoint to resume without
+re-running completed stages (or, from ``stats-partial``, completed pair
+families); every checkpoint names its table's content version, and a
+resume over a different table is refused.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from repro.notebook.cells import Notebook
 from repro.notebook.narrative import notebook_header
 from repro.queries.distance import query_distance
 from repro.queries.sqlgen import bind_table, comparison_sql
-from repro.relational.table import Table
+from repro.relational.table import Table, content_token
 from repro.runtime.deadline import Deadline
 from repro.runtime.faults import FaultInjector
 from repro.runtime.report import (
@@ -61,6 +66,12 @@ from repro.runtime.report import (
     STATUS_RESUMED,
     RunReport,
     StageReport,
+)
+from repro.stats.delta import (
+    IncrementalRequest,
+    StatsMemo,
+    incremental_config_token,
+    segment_families,
 )
 from repro.stats.permutation import reduced_permutations
 from repro.tap.baseline import solve_baseline_lazy
@@ -208,9 +219,9 @@ def _stats_ladder(
     policy: RuntimePolicy,
     progress: Callable[[str], None] | None,
     backend: ExecutionBackend | None = None,
-    shard_store=None,
     incremental=None,
     version: str | None = None,
+    on_chunk=None,
 ) -> list[_Rung]:
     base_permutations = config.significance.n_permutations
     cut = reduced_permutations(base_permutations, policy.permutation_cut_factor)
@@ -234,16 +245,15 @@ def _stats_ladder(
         sampling=config.sampling,
         max_pairs_per_attribute=pair_cap,
     )
-    # Only the configured rung records mid-shard checkpoints or consumes
+    # Only the configured rung records mid-stage checkpoints or consumes
     # the incremental memo: the degraded rungs change the test
-    # configuration, which would invalidate the shards' (and the memo's)
-    # config token anyway.
+    # configuration, which would invalidate the memo's config token anyway.
     return [
         _Rung(
             "full",
             lambda d, n: run_stats_stage(table, config, progress, d, backend=backend,
-                                         shard_store=shard_store,
-                                         incremental=incremental, version=version),
+                                         incremental=incremental, version=version,
+                                         on_chunk=on_chunk),
         ),
         _Rung(
             "reduced",
@@ -386,6 +396,20 @@ def _tap_ladder(
     return rungs
 
 
+def _partial_recorder(path, memo: StatsMemo):
+    """An ``on_chunk`` sink: add the chunk's pair families to ``memo`` and
+    rewrite the ``stats-partial`` checkpoint at ``path``."""
+    from repro import persistence
+
+    def record(attribute, candidates, oriented, results) -> None:
+        memo.families.setdefault(attribute, []).extend(
+            segment_families(candidates, oriented, results)
+        )
+        persistence.save_checkpoint(path, memo=memo, version=memo.version)
+
+    return record
+
+
 # ---------------------------------------------------------------------------
 # The controller
 # ---------------------------------------------------------------------------
@@ -428,7 +452,11 @@ def resilient_generate(
     stage's configured rung then re-tests only the pair families touched
     by the appended rows.  ``version`` stamps the table's content-version
     token onto the run so the stats stage can memoize its raw results for
-    the *next* append (``run.stats_memo``).
+    the *next* append (``run.stats_memo``); it is computed from ``table``
+    when a checkpoint is written or resumed without one.  A ``resume``
+    whose table version differs raises :class:`~repro.errors.ReproError`;
+    a ``stats-partial`` resume becomes an incremental request at the same
+    version, so only the pair families its memo lacks are tested.
     """
     if solver not in ("heuristic", "exact"):
         raise ReproError(f"unknown solver {solver!r}")
@@ -438,10 +466,9 @@ def resilient_generate(
     config = config or GenerationConfig()
     faults = faults or FaultInjector.none()
     deadline = Deadline(policy.deadline_seconds)
-    parallel = config.parallel
     report = RunReport(deadline_seconds=policy.deadline_seconds,
                        backend=config.backend,
-                       workers=parallel.workers)
+                       workers=config.parallel.workers)
     if epsilon_distance is None:
         epsilon_distance = DEFAULT_EPSILON_PER_QUERY * max(1.0, budget - 1.0)
 
@@ -457,6 +484,22 @@ def resilient_generate(
             "across backends would mix engines mid-run (re-run without "
             "--resume, or match the backend)"
         )
+    if version is None and table is not None and (
+        resume is not None or checkpoint_path is not None
+    ):
+        version = content_token(table)
+    if (
+        resume is not None
+        and table is not None
+        and resume.version is not None
+        and resume.version != version
+    ):
+        raise ReproError(
+            f"checkpoint was produced from a different table (version "
+            f"{resume.version}) than this run's (version {version}); resuming "
+            "would reuse another table's results (re-run without --resume, "
+            "or pass the checkpointed data)"
+        )
 
     with obs.span(
         "run", solver=solver, budget=budget, backend=config.backend,
@@ -464,6 +507,7 @@ def resilient_generate(
     ) as run_span:
         stats: StatsStageResult | None = None
         outcome: GenerationOutcome | None = None
+        resumed_memo: StatsMemo | None = None
         if resume is not None:
             report.resumed_from = str(resume.source) if resume.source else "checkpoint"
             if resume.report is not None:
@@ -479,10 +523,12 @@ def resilient_generate(
                 stats = resume.stats
                 _resumed_stage(report, STAGE_STATS)
                 logger.info("resumed past the stats stage from checkpoint")
-            elif resume.stage == "stats-partial":
+            elif resume.stage == "stats-partial" and resume.memo is not None:
+                resumed_memo = resume.memo
+                incremental = IncrementalRequest(resumed_memo)
                 logger.info(
-                    "resuming mid-stats: %d completed shard(s) in checkpoint",
-                    len(resume.partial_shards),
+                    "resuming mid-stats: %d completed pair family(ies) in checkpoint",
+                    sum(len(f) for f in resumed_memo.families.values()),
                 )
 
         if outcome is None and table is None:
@@ -501,26 +547,26 @@ def resilient_generate(
         try:
             # -- stage: statistical tests -----------------------------------
             if outcome is None and stats is None:
-                # Sharded runs checkpoint mid-stage: completed shards are
-                # written as a "stats-partial" checkpoint so a resumed run
-                # skips them.  A config token guards against resuming shards
-                # produced under different test settings.
-                shard_store = None
-                if checkpoint_path is not None and parallel.active:
-                    from repro.persistence import (
-                        PersistentShardStore,
-                        stats_config_token,
-                    )
-
-                    token = stats_config_token(config, table.n_rows)
-                    shard_store = PersistentShardStore.open(
-                        checkpoint_path, token, resume
-                    )
+                # Checkpointed runs record every tested chunk's pair families
+                # in a memo at this table's version, written as the
+                # "stats-partial" checkpoint; a resumed run re-tests only the
+                # families it lacks.  A resumed memo under the same config
+                # token seeds the new one, so a second kill loses nothing.
+                on_chunk = None
+                if checkpoint_path is not None:
+                    token = incremental_config_token(config)
+                    partial = StatsMemo(version, table.n_rows, token)
+                    if resumed_memo is not None and resumed_memo.token == token:
+                        partial.families = {
+                            attribute: list(records)
+                            for attribute, records in resumed_memo.families.items()
+                        }
+                    on_chunk = _partial_recorder(checkpoint_path, partial)
                 stats = _run_ladder(
                     STAGE_STATS,
                     _stats_ladder(table, config, policy, progress, backend=backend,
-                                  shard_store=shard_store,
-                                  incremental=incremental, version=version),
+                                  incremental=incremental, version=version,
+                                  on_chunk=on_chunk),
                     deadline,
                     faults,
                     report,
@@ -532,7 +578,7 @@ def resilient_generate(
                     executed = backend.statements_executed - statements_before
                     report.backend_statements += executed
                     save_checkpoint(checkpoint_path, stats=stats, report=report,
-                                    memo=stats.memo)
+                                    memo=stats.memo, version=version)
                     report.backend_statements -= executed
                     logger.info("checkpoint written after stats stage: %s", checkpoint_path)
                 if stats is None:
@@ -564,10 +610,10 @@ def resilient_generate(
                     # A resumed-stats run re-saves the resume file's memo so
                     # the superseding generation checkpoint never drops it.
                     memo = stats.memo if stats is not None else None
-                    if memo is None and resume is not None:
+                    if memo is None and resume is not None and resume.stats is not None:
                         memo = resume.memo
                     save_checkpoint(checkpoint_path, outcome=outcome, report=report,
-                                    memo=memo)
+                                    memo=memo, version=version)
                     report.backend_statements -= executed
                     logger.info("checkpoint written after generation stage: %s",
                                 checkpoint_path)

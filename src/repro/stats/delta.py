@@ -23,7 +23,11 @@ the rendered notebook — are byte-identical.  ``stats.partitions_skipped``
 counts the clean families that were served from the memo.
 
 The memo serializes to JSON (:meth:`StatsMemo.to_dict`) so the CLI
-checkpoint can carry it across processes for ``--since-checkpoint``.
+checkpoint can carry it across processes.  One memo serves both reuses:
+``--since-checkpoint`` over an appended table, and ``--resume`` of a run
+killed mid-stage, whose ``stats-partial`` checkpoint is the memo of the
+families completed so far at the table's own version (nothing is dirty,
+the missing families are re-tested).
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ __all__ = [
     "IncrementalPlan",
     "IncrementalRequest",
     "StatsMemo",
-    "build_memo",
     "incremental_config_token",
     "merge_attribute",
     "plan_incremental",
@@ -62,11 +65,15 @@ PairKey = tuple[str, frozenset]
 def incremental_config_token(config) -> str:
     """Fingerprint of everything that shapes raw per-family test results.
 
-    Unlike :func:`repro.persistence.stats_config_token` this deliberately
+    The one config fingerprint of stored test results: it guards a memo
+    reused across appends (``--since-checkpoint``, ``Session.generate(
+    since=)``) and a memo resumed mid-stage (``stats-partial``).  The data
+    is guarded separately, by the memo's content version.  It deliberately
     excludes the row count (the whole point is reuse across appends), the
-    backend (tests are row-level and backend-independent), and the chunk
-    size (results are chunk-invariant).  Any drift in these fields makes
-    the memo silently unusable — the stage falls back to a full run.
+    backend (tests are row-level and backend-independent), and the worker
+    count and chunk size (results are chunk-invariant).  Any drift in these
+    fields makes the memo silently unusable — the stage falls back to a
+    full run.
     """
     significance = config.significance
     payload = {
@@ -264,28 +271,13 @@ class StatsMemo:
         return cls(data["version"], int(data["n_rows"]), data["token"], families)
 
 
-def build_memo(
-    version: str,
-    n_rows: int,
-    token: str,
-    work: Sequence[tuple[str, object, list[CandidateInsight]]],
-    raw: Mapping[str, tuple[Sequence[CandidateInsight], Sequence[TestResult]]],
-) -> StatsMemo:
-    """A memo from a completed stage's work list and raw per-attribute output."""
-    families = {
-        attribute: segment_families(candidates, *raw[attribute])
-        for attribute, _, candidates in work
-        if attribute in raw
-    }
-    return StatsMemo(version, n_rows, token, families)
-
-
 @dataclass(frozen=True, slots=True)
 class IncrementalRequest:
     """What a caller passes to run the stats stage incrementally.
 
-    The caller (the ``Session`` facade or the CLI's ``--since-checkpoint``)
-    has already verified that the memo's ``version`` names the first
+    The caller (the ``Session`` facade, the CLI's ``--since-checkpoint``,
+    or the run controller resuming a ``stats-partial`` checkpoint at the
+    same version) has already verified that the memo's ``version`` names the first
     ``memo.n_rows`` rows of the current table; the stage derives the dirty
     value set from the rows past that boundary.
     """
@@ -312,23 +304,19 @@ def plan_incremental(
     work: Sequence[tuple[str, object, list[CandidateInsight]]],
     dirty_values: Mapping[str, frozenset],
     config,
+    version: str | None = None,
 ) -> IncrementalPlan | None:
     """Classify every family of the new enumeration as clean or dirty.
 
+    ``version`` is the content version of the table this run tests.
     Returns ``None`` — caller falls back to a full run — when the memo
-    cannot soundly serve this configuration: a config-token mismatch,
-    offline sampling (the sample re-draws over the grown table), or
-    permutation-batch sharing disabled (results then depend on chunk-local
-    request order, so re-running a family subset is not result-stable).
+    cannot soundly serve this configuration: a config-token mismatch, or
+    offline sampling over a table whose version differs from the memo's
+    (the sample re-draws over the grown table; at the same version it
+    draws the identical rows, so a resumed sampled run is served).
     """
-    if config.sampling is not None:
+    if config.sampling is not None and memo.version != version:
         logger.warning("incremental stats disabled: offline sampling re-draws rows")
-        return None
-    if not config.significance.share_across_pairs:
-        logger.warning(
-            "incremental stats disabled: share_across_pairs=False makes "
-            "results chunk-dependent"
-        )
         return None
     token = incremental_config_token(config)
     if memo.token != token:

@@ -277,13 +277,6 @@ def test_near_deadline_skips_the_pool_entirely():
     assert "parallel.tasks_stolen" not in _counters()
 
 
-def test_skip_leaves_resumed_slots_for_the_caller():
-    pool = ShardPool(ParallelConfig(workers=2), task_fn=_double)
-    results = pool.run([1, 2, 3, 4], skip={0, 2})
-    assert results[0] is None and results[2] is None
-    assert results[1] == 4 and results[3] == 8
-
-
 def test_on_result_fires_per_completed_shard():
     seen: dict[int, int] = {}
     pool = ShardPool(ParallelConfig(workers=2), task_fn=_double)

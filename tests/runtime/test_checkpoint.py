@@ -1,5 +1,7 @@
 """Stage checkpoints and resume: never re-run a completed expensive stage."""
 
+import json
+
 import pytest
 
 from repro.generation import GenerationConfig
@@ -51,6 +53,18 @@ class TestCheckpointWriting:
         path.write_text("not json at all")
         with pytest.raises(PersistenceError):
             load_checkpoint(path)
+
+
+    def test_load_rejects_old_or_unversioned_checkpoints(self, two_measure_table,
+                                                         fast_config, tmp_path):
+        path = tmp_path / "run.ckpt.json"
+        resilient_generate(two_measure_table, fast_config, budget=4,
+                           checkpoint_path=path)
+        data = json.loads(path.read_text())
+        for change in ({"schema_version": 1}, {"version": None}):
+            path.write_text(json.dumps({**data, **change}))
+            with pytest.raises(PersistenceError):
+                load_checkpoint(path)
 
 
 class TestResume:

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ReproError
 from repro.generation.config import GenerationConfig, SamplingSpec
 from repro.insights.insight import CandidateInsight
+from repro.parallel import ParallelConfig
 from repro.stats.delta import (
     StatsMemo,
     incremental_config_token,
@@ -45,6 +46,11 @@ class TestConfigToken:
         # token must not move, or appends could never reuse a memo.
         two = dataclasses.replace(one, backend="sqlite")
         assert incremental_config_token(one) == incremental_config_token(two)
+        # A resumed stats-partial memo must serve any worker count.
+        three = dataclasses.replace(
+            one, parallel=ParallelConfig(workers=2, chunk_size=8)
+        )
+        assert incremental_config_token(one) == incremental_config_token(three)
 
     def test_token_matches_memos_written_before_the_kernel_switch_went(
         self, monkeypatch
@@ -67,6 +73,7 @@ class TestConfigToken:
             lambda c: with_significance(c, seed=1),
             lambda c: with_significance(c, threshold=0.9),
             lambda c: with_significance(c, engine="parametric"),
+            lambda c: with_significance(c, share_across_pairs=False),
         ],
     )
     def test_sensitive_to_result_shaping_fields(self, mutate):
@@ -169,9 +176,22 @@ class TestPlanIncremental:
         sampled = dataclasses.replace(config, sampling=SamplingSpec("random", 0.5))
         assert plan_incremental(make_memo(config), WORK, {}, sampled) is None
 
-    def test_unshared_permutations_fall_back(self):
+    def test_sampling_is_served_at_the_memo_version(self):
+        """A sample drawn at the same version is identical (a resumed run)."""
+        sampled = dataclasses.replace(
+            GenerationConfig(), sampling=SamplingSpec("random", 0.5)
+        )
+        memo = make_memo(sampled)
+        plan = plan_incremental(memo, WORK, {}, sampled, memo.version)
+        assert plan is not None and plan.skipped == 2
+        assert plan_incremental(memo, WORK, {}, sampled, "100-other") is None
+
+    def test_unshared_permutations_are_planned(self):
+        """Fresh batches are keyed by candidate, so a family subset re-tests
+        to the same results: the memo serves them like shared batches."""
         config = with_significance(GenerationConfig(), share_across_pairs=False)
-        assert plan_incremental(make_memo(config), WORK, {}, config) is None
+        plan = plan_incremental(make_memo(config), WORK, {}, config)
+        assert plan is not None and plan.skipped == 2
 
     def test_config_token_mismatch_falls_back(self):
         config = GenerationConfig()

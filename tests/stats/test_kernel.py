@@ -224,7 +224,8 @@ def reference_chunk(table, attribute, group, config):
 
     Selects each side's rows with a plain mask, drops NaNs, orients toward
     the observed dominant side, and calls ``itype.test`` on the batch the
-    runner's key-derived cache hands out for those sizes.
+    runner's key-derived cache hands out for those sizes (and, without
+    sharing, for the unoriented candidate).
     """
     column = table.categorical_column(attribute)
     batches = _BatchCache(
@@ -232,6 +233,7 @@ def reference_chunk(table, attribute, group, config):
     )
     oriented, results = [], []
     for candidate in group:
+        requested = candidate
         itype = insight_type(candidate.type_code)
         values = table.measure_values(candidate.measure)
         x = values[column.codes == column.code_of(candidate.val)]
@@ -249,7 +251,7 @@ def reference_chunk(table, attribute, group, config):
                 candidate.val, candidate.type_code,
             )
         oriented.append(candidate)
-        results.append(itype.test(batches.get(x.size, y.size), x, y))
+        results.append(itype.test(batches.get(x.size, y.size, requested), x, y))
     return oriented, results
 
 
@@ -279,7 +281,7 @@ class TestKernelParityEndToEnd:
         _assert_matches_reference(planted, SignificanceConfig())
 
     def test_parity_with_fresh_batches_per_pair(self, planted):
-        """share_across_pairs=False exercises the counter-derived RNG keys."""
+        """share_across_pairs=False exercises the candidate-derived RNG keys."""
         _assert_matches_reference(
             planted, SignificanceConfig(share_across_pairs=False)
         )

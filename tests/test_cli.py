@@ -513,6 +513,29 @@ class TestResilience:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("faults", ["generation:kill:xall", None])
+    def test_resume_over_a_different_csv_exits_2(self, covid_csv, tmp_path,
+                                                 monkeypatch, capsys, faults):
+        """A ``stats`` or ``generation`` checkpoint names its table's
+        content version; another CSV of the same shape is refused."""
+        ck = tmp_path / "run.ckpt.json"
+        if faults:
+            monkeypatch.setenv("REPRO_FAULTS", faults)
+        main(["generate", str(covid_csv), "--budget", "4",
+              "--checkpoint", str(ck), "--quiet"])
+        assert json.loads(ck.read_text())["stage"] == (
+            "stats" if faults else "generation"
+        )
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        other = tmp_path / "other.csv"
+        write_csv(covid_table(400, seed=7), other)
+        code = main(["generate", str(other), "--budget", "4",
+                     "--resume", str(ck), "--out", str(tmp_path / "nb.ipynb"),
+                     "--quiet"])
+        assert code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("error:") and "different table" in last
+
     def test_resume_generation_checkpoint_without_csv(self, covid_csv, tmp_path):
         ck = tmp_path / "run.ckpt.json"
         out = tmp_path / "nb.ipynb"
