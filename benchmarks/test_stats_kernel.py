@@ -63,6 +63,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -76,10 +77,21 @@ from repro.datasets import enedis_table
 from repro.generation import GenerationConfig
 from repro.generation.generator import run_stats_stage
 from repro.insights import SignificanceConfig, enumerate_candidates, run_significance_tests
-from repro.parallel import ParallelConfig
+from repro.parallel import ParallelConfig, shards
 from repro.relational import table_from_arrays
 from repro.runtime import resilient_generate, resilient_render
 from repro.stats import derive_rng
+
+
+@contextmanager
+def pool_shards_of(candidates: int):
+    """Cut worker-pool stats shards of ~``candidates`` for the duration."""
+    saved = shards.CHUNK_SIZE
+    shards.CHUNK_SIZE = candidates
+    try:
+        yield
+    finally:
+        shards.CHUNK_SIZE = saved
 
 
 def wide_table(n_rows: int, n_measures: int, n_vals: int = 4):
@@ -162,10 +174,11 @@ def run_worker_scaling(quick: bool) -> dict:
     for workers in (1, 2, 4):
         config = GenerationConfig(
             significance=SignificanceConfig(n_permutations=100 if quick else 300),
-            parallel=ParallelConfig(workers=workers, chunk_size=50),
+            parallel=ParallelConfig(workers=workers),
         )
         start = time.perf_counter()
-        stats = run_stats_stage(table, config)
+        with pool_shards_of(50):
+            stats = run_stats_stage(table, config)
         seconds[workers] = time.perf_counter() - start
         output = [
             (t.candidate.key, t.statistic, t.p_value, t.p_adjusted)
@@ -213,9 +226,9 @@ def run_data_plane(quick: bool) -> dict:
             break
         config = GenerationConfig(
             significance=SignificanceConfig(n_permutations=60 if quick else 200),
-            parallel=ParallelConfig(workers=2, chunk_size=50, store=store),
+            parallel=ParallelConfig(workers=2, store=store),
         )
-        with obs.capture() as (_, metrics):
+        with obs.capture() as (_, metrics), pool_shards_of(50):
             start = time.perf_counter()
             stats = run_stats_stage(table, config)
             seconds[store] = time.perf_counter() - start

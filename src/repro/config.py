@@ -7,15 +7,13 @@ and :class:`~repro.parallel.config.ParallelConfig`) plus the TAP-side
 settings (notebook budget ``eps_t``, distance bound ``eps_d``, solver
 choice, deadline).  It is what the :mod:`repro.api` facade and the CLI
 consume, and it round-trips through JSON-friendly dicts
-(:meth:`to_dict` / :meth:`from_dict`) and the ``REPRO_*`` environment
-(:meth:`from_env`).  :func:`repro.generation.preset` returns the paper's
+(:meth:`to_dict` / :meth:`from_dict`).  :func:`repro.generation.preset` returns the paper's
 named Table 3/7 configurations as instances of it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -214,55 +212,3 @@ class ReproConfig:
         gen_kwargs.update(gen_data)
         return cls(generation=GenerationConfig(**gen_kwargs), **top)
 
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None) -> "ReproConfig":
-        """Defaults adjusted by the ``REPRO_*`` environment variables.
-
-        Honours the per-subsystem hooks the CI matrix already uses —
-        ``REPRO_BACKEND``, ``REPRO_WORKERS``, ``REPRO_SHM`` (column-store
-        plane: ``0``/``1``/``auto``) — plus the run-level ``REPRO_BUDGET``,
-        ``REPRO_SOLVER``, and ``REPRO_DEADLINE``.  Pass ``environ`` to read from a mapping other
-        than ``os.environ`` (tests).
-        """
-        env = os.environ if environ is None else environ
-
-        def get(name: str) -> str | None:
-            raw = env.get(name, "").strip()
-            return raw or None
-
-        def number(name: str, kind) -> float | int | None:
-            raw = get(name)
-            if raw is None:
-                return None
-            try:
-                return kind(raw)
-            except ValueError:
-                raise ReproError(f"{name}={raw!r} is not a valid number") from None
-
-        gen_kwargs: dict = {}
-        backend = get("REPRO_BACKEND")
-        if backend is not None:
-            gen_kwargs["backend"] = backend
-        workers = number("REPRO_WORKERS", int)
-        shm = get("REPRO_SHM")
-        if workers is not None or shm is not None:
-            from repro.parallel.config import store_from_env_value
-
-            parallel_kwargs: dict = {}
-            if workers is not None:
-                parallel_kwargs["workers"] = workers
-            if shm is not None:
-                parallel_kwargs["store"] = store_from_env_value(shm)
-            gen_kwargs["parallel"] = ParallelConfig(**parallel_kwargs)
-
-        top_kwargs: dict = {}
-        budget = number("REPRO_BUDGET", float)
-        if budget is not None:
-            top_kwargs["budget"] = budget
-        solver = get("REPRO_SOLVER")
-        if solver is not None:
-            top_kwargs["solver"] = solver
-        deadline = number("REPRO_DEADLINE", float)
-        if deadline is not None:
-            top_kwargs["deadline_seconds"] = deadline
-        return cls(generation=GenerationConfig(**gen_kwargs), **top_kwargs)

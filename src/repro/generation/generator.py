@@ -25,13 +25,11 @@ from repro.generation.config import GenerationConfig
 from repro.generation.evaluators import SupportEvaluator, build_evaluator
 from repro.insights.enumeration import enumerate_candidates
 from repro.insights.insight import CandidateInsight, InsightEvidence, TestedInsight
-from repro.insights.significance import finalize_attribute, run_attribute_chunk
-from repro.parallel.shards import (
-    ChunkSink,
-    evidence_supported,
-    run_stats_shards,
-    run_support_shards,
-)
+# run_attribute_chunk now runs only inside the stats shard tasks; the name
+# stays importable from here because benchmarks/e2e/test_harness.py checks
+# its layer wrapper through this module.
+from repro.insights.significance import finalize_attribute, run_attribute_chunk  # noqa: F401
+from repro.parallel.shards import ChunkSink, run_stats_shards, run_support_shards
 from repro.insights.transitivity import prune_transitive
 from repro.queries.comparison import ComparisonQuery
 from repro.queries.interestingness import conciseness, insight_term
@@ -155,8 +153,9 @@ def run_stats_stage(
     chunk's raw results as it completes — per shard on the worker pool,
     per attribute in-process; the run controller records them as the
     ``stats-partial`` checkpoint.  ``backend`` supplies the rows the offline
-    samples draw from; the tests themselves are row-level statistics and
-    run in-process or on the worker pool per ``config.parallel``.
+    samples draw from; the tests themselves are row-level statistics run
+    as the shard tasks of :mod:`repro.parallel.shards`, in-process or on
+    the worker pool per ``config.parallel``.
 
     ``incremental`` carries a :class:`~repro.stats.delta.StatsMemo` from an
     earlier run over ``table`` or a *prefix* of it (the caller has verified
@@ -284,9 +283,12 @@ def run_support_stage(
     relation regardless of any test-phase sampling.  Merges the stats
     stage's timings and counters into the returned outcome.
 
-    All aggregation passes go through ``backend`` (built from
+    The evaluation runs as the per-grouping shard tasks of
+    :mod:`repro.parallel.shards`: in-process on ``backend`` (built from
     ``config.backend`` — and closed on the way out — when not supplied by
-    the caller).
+    the caller) at one worker or under the set-cover evaluator, on the
+    worker pool otherwise.  The aggregation-query and statement counters
+    include the pool workers' traffic.
     """
     config = config or GenerationConfig()
     say = progress or (lambda message: None)
@@ -309,20 +311,18 @@ def run_support_stage(
             )
             logger.info("hypothesis evaluation: evaluator=%s backend=%s over %d insights",
                         config.evaluator, backend.name, len(stats.significant))
-            queries, evidences, n_hypothesis, worker_counts, plan = _evaluate_support(
-                table, stats.significant, stats.excluded_pairs, evaluator, config, deadline
+            queries, evidences, n_hypothesis, (fleet_queries, fleet_statements), plan = (
+                _evaluate_support(
+                    table, stats.significant, stats.excluded_pairs, backend,
+                    evaluator, config, deadline,
+                )
             )
-            if worker_counts is None:
-                aggregation_queries = evaluator.queries_sent
-                statements = backend.statements_executed - statements_before
-            else:
-                # Sharded path: the traffic happened on the workers'
-                # evaluators and backends; their counts shipped back.
-                # Credit them to the caller's backend so run-level
-                # statement accounting is worker-count invariant.
-                aggregation_queries = worker_counts["queries_sent"]
-                statements = worker_counts["statements"]
-                backend.statements_executed += statements
+            # Pool workers' traffic ran on their own evaluators and
+            # backends; credit it to the caller's so run-level counts
+            # include it.
+            backend.statements_executed += fleet_statements
+            aggregation_queries = evaluator.queries_sent + fleet_queries
+            statements = backend.statements_executed - statements_before
             counters["hypothesis_queries_evaluated"] = n_hypothesis
             counters["queries_supported"] = len(queries)
             counters["aggregation_queries_sent"] = aggregation_queries
@@ -382,7 +382,7 @@ def _run_tests(
     version: str | None = None,
     collect_memo: bool = False,
 ) -> tuple[list[TestedInsight], dict[str, list] | None, object]:
-    """Run the per-attribute significance tests, possibly sharded.
+    """Run the per-attribute significance tests as shard tasks.
 
     ``test_source`` is either one table shared by every attribute (full
     data or a uniform random sample) or a mapping attribute -> table
@@ -395,27 +395,25 @@ def _run_tests(
     records of this run (for the *next* memo).  Returns
     ``(tested, records_or_None, plan_or_None)``.
 
-    ``config.parallel`` picks the execution strategy: the sharded
-    subprocess pool of :mod:`repro.parallel` (with worker-side deadline
-    checkpoints and crash isolation) when more than one worker is
-    configured, plain sequential otherwise; ``on_chunk`` sees every tested
-    chunk either way.  Both produce identical results — shards
-    are cut at pair-family boundaries and permutation batches derive their
-    RNG from chunk-independent keys.  The incremental path feeds its dirty
-    work through the same runner, so the parity holds there too.
+    The tests run as the shard tasks of
+    :func:`~repro.parallel.shards.run_stats_shards`: in-process at one
+    worker (one task per attribute), on the subprocess pool of
+    :mod:`repro.parallel` otherwise (with worker-side deadline checkpoints
+    and crash isolation); ``on_chunk`` sees every tested chunk either way.
+    Every worker count produces identical results — shards are cut at
+    pair-family boundaries and permutation batches derive their RNG from
+    chunk-independent keys.  The incremental path feeds its dirty work
+    through the same runner, so the parity holds there too.
     """
     if isinstance(test_source, Table):
         tables = {name: test_source for name in test_source.schema.categorical_names}
     else:
         tables = test_source
-    checkpoint = None
-    if deadline is not None and deadline.limited:
-        checkpoint = lambda: deadline.check("statistical tests")  # noqa: E731
 
     work: list[tuple[str, Table, list[CandidateInsight]]] = []
     for attribute, sample in tables.items():
-        if checkpoint is not None:
-            checkpoint()
+        if deadline is not None:
+            deadline.check("statistical tests")
         candidates = list(
             enumerate_candidates(
                 sample,
@@ -432,13 +430,14 @@ def _run_tests(
         memo, dirty_values = delta
         plan = plan_incremental(memo, work, dirty_values, config, version)
 
+    raw: dict[str, tuple[list, list]] = {}
+    tested = run_stats_shards(
+        work if plan is None else plan.dirty_work,
+        config.significance, config.parallel, deadline,
+        on_chunk=on_chunk, raw_out=raw,
+    )
     if plan is not None:
-        raw: dict[str, tuple[list, list]] = {}
-        if plan.dirty_work:
-            _execute_tests(
-                plan.dirty_work, config, deadline, on_chunk, checkpoint, raw_out=raw
-            )
-        tested: list[TestedInsight] = []
+        tested = []
         records: dict[str, list] = {}
         for attribute, _, _ in work:
             oriented, results, family_records = merge_attribute(
@@ -448,8 +447,6 @@ def _run_tests(
             records[attribute] = family_records
         return tested, (records if collect_memo else None), plan
 
-    raw = {} if collect_memo else None
-    tested = _execute_tests(work, config, deadline, on_chunk, checkpoint, raw_out=raw)
     records = None
     if collect_memo:
         records = {
@@ -457,42 +454,6 @@ def _run_tests(
             for attribute, _, candidates in work
         }
     return tested, records, None
-
-
-def _execute_tests(
-    work: list[tuple[str, Table, list[CandidateInsight]]],
-    config: GenerationConfig,
-    deadline: Deadline | None,
-    on_chunk: ChunkSink | None,
-    checkpoint,
-    raw_out: dict[str, tuple[list, list]] | None = None,
-) -> list[TestedInsight]:
-    """Feed a work list through the configured runner.
-
-    The single execution funnel for both full and incremental runs: the
-    sharded process pool, or plain sequential.  When ``raw_out`` is given
-    it receives each attribute's merged raw ``(oriented, results)`` before
-    the BH correction.
-    """
-    if not work:
-        return []
-    if config.parallel.active:
-        return run_stats_shards(
-            work, config.significance, config.parallel, deadline,
-            on_chunk=on_chunk, raw_out=raw_out,
-        )
-
-    tested: list[TestedInsight] = []
-    for attribute, sample, candidates in work:
-        oriented, results = run_attribute_chunk(
-            sample, attribute, candidates, config.significance, checkpoint
-        )
-        if on_chunk is not None:
-            on_chunk(attribute, candidates, oriented, results)
-        if raw_out is not None:
-            raw_out[attribute] = (list(oriented), list(results))
-        tested.extend(finalize_attribute(oriented, results, config.significance))
-    return tested
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +475,23 @@ def _evaluate_support(
     table: Table,
     significant: Sequence[TestedInsight],
     excluded_pairs: set[frozenset[str]],
+    backend: ExecutionBackend,
     evaluator: SupportEvaluator,
     config: GenerationConfig,
     deadline: Deadline | None = None,
-) -> tuple[list[_SupportedQuery], dict[tuple, InsightEvidence], int, dict | None, dict]:
+) -> tuple[list[_SupportedQuery], dict[tuple, InsightEvidence], int, tuple[int, int], dict]:
     """Evaluate every hypothesis query; returns the supported set.
 
-    The fourth element is ``None`` on the in-process paths; on the sharded
-    process path it carries the workers' aggregation-query and
-    backend-statement counts (the parent's evaluator and backend never see
-    that traffic).  The fifth is the multi-query plan shape — how many
-    per-grouping-attribute batches cover how many distinct group-by sets —
-    computed parent-side so it is identical at every worker count.
+    The queries run as one shard task per grouping attribute
+    (:func:`~repro.parallel.shards.run_support_shards`) — in-process on
+    ``backend`` and ``evaluator``, or on the worker pool — and are
+    assembled here in one fixed order (pair groups in insertion order ×
+    valid groupings × aggregates), so the result is the same at every
+    worker count.  The fourth element is the pool workers'
+    ``(aggregation queries, backend statements)`` — traffic the caller's
+    evaluator and backend never saw.  The fifth is the multi-query plan
+    shape — how many per-grouping-attribute batches cover how many
+    distinct group-by sets.
     """
     categorical = table.schema.categorical_names
     evidences: dict[tuple, InsightEvidence] = {}
@@ -549,99 +515,46 @@ def _evaluate_support(
         lo, hi = sorted((candidate.val, candidate.val_other))
         groups.setdefault((candidate.attribute, lo, hi, candidate.measure), []).append(evidence)
 
+    # The multi-query plan shape: each grouping attribute's shard issues
+    # one batch to the backend's compiler, over the distinct
+    # (grouping, selection) pairs.
+    plan = {
+        "batches": len({g for gs in valid_groupings.values() for g in gs}),
+        "sets": len({frozenset((g, a)) for a, gs in valid_groupings.items() for g in gs}),
+    }
+
+    items = list(groups.items())
+    records, queries_sent, statements = run_support_shards(
+        table, items, valid_groupings, config.aggregates,
+        backend=backend,
+        evaluator=evaluator,
+        evaluator_name=config.evaluator,
+        memory_budget=config.memory_budget_bytes,
+        parallel=config.parallel,
+        deadline=deadline,
+    )
     supported_queries: list[_SupportedQuery] = []
     hypothesis_count = 0
-    items = list(groups.items())
-
-    # The full pair demand, partitioned per grouping attribute — the shard
-    # unit — so both execution paths (sequential, process shards) issue
-    # the same per-grouping batches to the backend's multi-query compiler.
-    demand: dict[str, list[frozenset[str]]] = {}
-    distinct_pairs: set[frozenset[str]] = set()
-    for attribute in sorted(valid_groupings):
-        for grouping in valid_groupings[attribute]:
-            pair = frozenset((grouping, attribute))
-            demand.setdefault(grouping, []).append(pair)
-            distinct_pairs.add(pair)
-    plan = {"batches": len(demand), "sets": len(distinct_pairs)}
-
-    # Sharded process pool, one shard per grouping attribute.  Workers
-    # build their own backend + evaluator; the parent replays the
-    # sequential iteration order over their compact records, so the query
-    # list, evidence counts, and counters match workers=1 exactly.  The
-    # set-cover evaluator is excluded: its up-front materialization is
-    # shared *across* groupings, so per-grouping workers would repeat it
-    # (breaking statement-count parity and wasting the cover).
-    if config.parallel.active and config.evaluator != "setcover" and items:
-        records, queries_sent, statements = run_support_shards(
-            table, items, valid_groupings, config.aggregates,
-            backend_name=config.backend,
-            evaluator_name=config.evaluator,
-            memory_budget=config.memory_budget_bytes,
-            parallel=config.parallel,
-            deadline=deadline,
-        )
-        for group_index, (key, members) in enumerate(items):
-            attribute, lo, hi, measure_name = key
-            for grouping in valid_groupings[attribute]:
-                for agg in config.aggregates:
-                    hypothesis_count += len(members)
-                    record = records.get((group_index, grouping, agg))
-                    if record is None:
-                        continue
-                    tuples_aggregated, n_groups, indices = record
-                    supported_here = [members[i] for i in indices]
-                    for evidence in supported_here:
-                        evidence.n_supporting += 1
-                    supported_queries.append(
-                        _SupportedQuery(
-                            ComparisonQuery(grouping, attribute, lo, hi,
-                                            measure_name, agg),
-                            tuples_aggregated, n_groups, supported_here,
-                        )
-                    )
-        extra = {"queries_sent": queries_sent, "statements": statements}
-        return supported_queries, evidences, hypothesis_count, extra, plan
-
-    # Announce the demand before evaluating: one batched backend call per
-    # grouping attribute (no-op for non-batching evaluators), mirroring the
-    # per-grouping shards of the process path.
-    for grouping in sorted(demand):
-        if deadline is not None:
-            deadline.check("hypothesis evaluation")
-        evaluator.plan(demand[grouping])
-
-    for key, members in items:
+    for group_index, (key, members) in enumerate(items):
         attribute, lo, hi, measure_name = key
-        local_count = local_queries = 0
-        with obs.span(
-            "generation.evaluate_group",
-            attribute=attribute, pair=f"{lo}|{hi}", measure=measure_name,
-        ) as sp:
-            for grouping in valid_groupings[attribute]:
-                if deadline is not None:
-                    deadline.check("hypothesis evaluation")
-                for agg in config.aggregates:
-                    query = ComparisonQuery(grouping, attribute, lo, hi, measure_name, agg)
-                    result = evaluator.evaluate(query)
-                    local_count += len(members)
-                    supported_here = [
-                        evidence for evidence in members
-                        if evidence_supported(result, evidence, lo)
-                    ]
-                    for evidence in supported_here:
-                        evidence.n_supporting += 1
-                    if supported_here:
-                        local_queries += 1
-                        supported_queries.append(
-                            _SupportedQuery(
-                                query, result.tuples_aggregated, result.n_groups, supported_here
-                            )
-                        )
-            sp.set(hypotheses=local_count, supported=local_queries)
-        hypothesis_count += local_count
-
-    return supported_queries, evidences, hypothesis_count, None, plan
+        for grouping in valid_groupings[attribute]:
+            for agg in config.aggregates:
+                hypothesis_count += len(members)
+                record = records.get((group_index, grouping, agg))
+                if record is None:
+                    continue
+                tuples_aggregated, n_groups, indices = record
+                supported_here = [members[i] for i in indices]
+                for evidence in supported_here:
+                    evidence.n_supporting += 1
+                supported_queries.append(
+                    _SupportedQuery(
+                        ComparisonQuery(grouping, attribute, lo, hi,
+                                        measure_name, agg),
+                        tuples_aggregated, n_groups, supported_here,
+                    )
+                )
+    return supported_queries, evidences, hypothesis_count, (queries_sent, statements), plan
 
 
 # ---------------------------------------------------------------------------

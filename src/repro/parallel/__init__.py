@@ -1,8 +1,9 @@
 """repro.parallel — sharded multiprocess execution of the pipeline.
 
 The two expensive stages (permutation testing, hypothesis-query
-evaluation) shard across a crash-isolated, work-stealing subprocess pool
-while staying bit-identical to sequential execution at any worker count.
+evaluation) always run as shard tasks: in-process at one worker, across a
+crash-isolated, work-stealing subprocess pool otherwise, bit-identical at
+any worker count.
 Configure through :class:`ParallelConfig` (``GenerationConfig(parallel=...)``,
 ``ReproConfig.parallel``, or ``repro generate --workers N``); the sharding
 model and failure semantics are documented in ``docs/parallelism.md``.

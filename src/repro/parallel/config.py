@@ -1,18 +1,19 @@
 """Configuration of the sharded multiprocess execution layer.
 
-:class:`ParallelConfig` is the single knob surface for the process-pool
-layer (:mod:`repro.parallel.pool`): how many workers, which data plane,
-how failures are absorbed, and how shards are cut.  It is embedded in
-:class:`~repro.generation.config.GenerationConfig` (``parallel=``) and in
-the top-level :class:`~repro.config.ReproConfig`, and surfaces on the CLI
-as ``repro generate --workers N``.
+:class:`ParallelConfig` is the knob surface for the process-pool layer
+(:mod:`repro.parallel.pool`): how many workers, and which data plane.  It
+is embedded in :class:`~repro.generation.config.GenerationConfig`
+(``parallel=``) and in the top-level :class:`~repro.config.ReproConfig`,
+and surfaces on the CLI as ``repro generate --workers N``.
 
 Determinism contract: worker count and scheduling **never** change
-results.  Shards are cut at pair-family boundaries
+results.  Every worker count runs the same shard tasks
+(:mod:`repro.parallel.shards`) — in-process at one worker.  Shards are cut
+at pair-family boundaries
 (:func:`~repro.insights.significance.family_chunks`) and every permutation
 batch derives its RNG from the root seed and the shard-independent batch
 key (:mod:`repro.stats.rng`), so a 4-worker run is bit-identical to a
-sequential one; the pool merely reassembles shard results in canonical
+one-worker run; the pool merely reassembles shard results in canonical
 order.
 """
 
@@ -31,7 +32,6 @@ __all__ = [
     "default_store",
     "default_workers",
     "resolve_store_kind",
-    "store_from_env_value",
 ]
 
 #: Environment variable holding the default worker count (CI matrix hook,
@@ -50,8 +50,9 @@ STORE_NAMES: tuple[str, ...] = ("auto", "heap", "shm")
 SHM_ENV_VAR = "REPRO_SHM"
 
 
-def store_from_env_value(raw: str) -> str:
-    """Translate a ``REPRO_SHM`` value into a store name."""
+def default_store() -> str:
+    """The process-wide default store plane: ``$REPRO_SHM`` or ``auto``."""
+    raw = os.environ.get(SHM_ENV_VAR, "")
     value = raw.strip()
     if not value:
         return "auto"
@@ -66,16 +67,11 @@ def store_from_env_value(raw: str) -> str:
     )
 
 
-def default_store() -> str:
-    """The process-wide default store plane: ``$REPRO_SHM`` or ``auto``."""
-    return store_from_env_value(os.environ.get(SHM_ENV_VAR, ""))
-
-
 def default_workers() -> int:
     """The process-wide default worker count: ``$REPRO_WORKERS`` or 1.
 
     An invalid environment value raises immediately rather than silently
-    running sequentially (the CI matrix relies on this).
+    running with one worker (the CI matrix relies on this).
     """
     raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
     if not raw:
@@ -95,60 +91,37 @@ def default_workers() -> int:
 class ParallelConfig:
     """Settings of the sharded execution layer.
 
+    The scheduler's tuning values (shard size, IPC block size, restart
+    budget, deadline margin) are module constants of
+    :mod:`repro.parallel.shards` and :mod:`repro.parallel.pool`: none of
+    them ever changes results.
+
     Attributes
     ----------
     workers:
         Worker count for the stats and hypothesis-evaluation stages.  The
-        default honours the ``REPRO_WORKERS`` environment variable; 1 runs
-        everything in-process (no pool is ever created); a larger count
-        runs the work-stealing subprocess pool of :mod:`repro.parallel.pool`.
-    max_worker_restarts:
-        Crashed workers are replaced up to this many times per pool before
-        the pool stops replacing them and the remaining shards run
-        in-process (the crash-isolation ladder; see docs/parallelism.md).
-    chunk_size:
-        Target candidates per stats shard.  Shards are cut only at
-        pair-family boundaries so the batched kernel sees whole families
-        per worker; the exact value never affects results, only balance.
+        default honours the ``REPRO_WORKERS`` environment variable.  Both
+        stages always run as shard tasks: at 1 the tasks run in-process
+        (no pool is ever created); a larger count runs them on the
+        work-stealing subprocess pool of :mod:`repro.parallel.pool`.
     store:
         Which data plane carries the table to workers: ``"auto"``
         (shared memory when a process pool runs and the platform has
         it), ``"heap"`` (pickle the table — the pre-8.x plane), or
         ``"shm"`` (force shared memory).  Never affects results, only
         how bytes move; see :func:`resolve_store_kind`.
-    ipc_block_size:
-        Upper bound on tasks batched into one pool submission.  Blocks
-        amortize queue round-trips without starving the work-stealing
-        scheduler; like ``chunk_size`` this never affects results.
-    deadline_margin:
-        Seconds of remaining deadline below which the pool stops
-        dispatching to workers and finishes in-process, where the
-        cooperative :class:`~repro.runtime.deadline.Deadline` checkpoints
-        can fire and the runtime ladder can degrade the stage.
     """
 
     workers: int = field(default_factory=default_workers)
-    max_worker_restarts: int = 1
-    chunk_size: int = 250
-    deadline_margin: float = 1.0
     store: str = field(default_factory=default_store)
-    ipc_block_size: int = 4
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ReproError(f"workers must be at least 1, got {self.workers}")
-        if self.max_worker_restarts < 0:
-            raise ReproError("max_worker_restarts cannot be negative")
-        if self.chunk_size < 1:
-            raise ReproError("chunk_size must be at least 1")
-        if self.deadline_margin < 0:
-            raise ReproError("deadline_margin cannot be negative")
         if self.store not in STORE_NAMES:
             raise ReproError(
                 f"unknown column store {self.store!r}; known: {STORE_NAMES}"
             )
-        if self.ipc_block_size < 1:
-            raise ReproError("ipc_block_size must be at least 1")
 
     @property
     def active(self) -> bool:
@@ -156,14 +129,7 @@ class ParallelConfig:
         return self.workers > 1
 
     def as_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "max_worker_restarts": self.max_worker_restarts,
-            "chunk_size": self.chunk_size,
-            "deadline_margin": self.deadline_margin,
-            "store": self.store,
-            "ipc_block_size": self.ipc_block_size,
-        }
+        return {"workers": self.workers, "store": self.store}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParallelConfig":

@@ -14,7 +14,7 @@ A :class:`WorkerFleet` decouples worker lifetime from stage lifetime:
   (``Value``) cancels everything at or below an epoch without poisoning
   the next stage, and stale results are dropped by epoch in the parent;
 * **block IPC** — tasks travel in small blocks
-  (:attr:`~repro.parallel.config.ParallelConfig.ipc_block_size`) instead
+  (:data:`~repro.parallel.pool.IPC_BLOCK_SIZE`) instead
   of one pipe round-trip per task;
 * **warm stage states** — workers cache built stage states keyed by the
   init blob's digest, so a repeat of the same stage (the next request

@@ -21,7 +21,7 @@ attribute — but both need more than ``ProcessPoolExecutor.map`` offers:
   a deque of blocks and an idle worker steals from the back of the longest
   remaining deque (``parallel.tasks_stolen`` counts the steals);
 * **crash isolation** — a worker that dies (OOM killer, native crash) is
-  replaced up to ``max_worker_restarts`` times and its in-flight block is
+  replaced up to :data:`MAX_WORKER_RESTARTS` times and its in-flight block is
   re-queued; the replacement re-runs the stage setup, which under the shm
   plane re-attaches the existing segment instead of re-pickling the data.
   Past the restart budget the pool stops replacing workers and the
@@ -30,7 +30,7 @@ attribute — but both need more than ``ProcessPoolExecutor.map`` offers:
   PR 1 runtime ladder can degrade the stage
   (``parallel.worker_restarts`` / ``parallel.tasks_inprocess``);
 * **deadline awareness** — when the remaining deadline falls under
-  ``deadline_margin`` the pool stops dispatching, cancels its epoch
+  :data:`DEADLINE_MARGIN` the pool stops dispatching, cancels its epoch
   (checked between permutation-kernel slices), and finishes in-process so
   expiry surfaces as a normal :class:`~repro.errors.DeadlineExceeded` for
   the ladder to catch;
@@ -60,7 +60,6 @@ from typing import Any, Callable, Sequence
 
 from repro import obs
 from repro.errors import DeadlineExceeded, ReproError
-from repro.parallel.config import ParallelConfig
 from repro.parallel.fleet import (
     WorkerContext,
     WorkerFleet,
@@ -71,7 +70,30 @@ from repro.runtime.retry import RetryPolicy, RetryState
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["ShardPool", "WorkerContext", "WorkerCrashed"]
+__all__ = [
+    "DEADLINE_MARGIN",
+    "IPC_BLOCK_SIZE",
+    "MAX_WORKER_RESTARTS",
+    "ShardPool",
+    "WorkerContext",
+    "WorkerCrashed",
+]
+
+#: Upper bound on tasks batched into one pool submission.  Blocks amortize
+#: queue round-trips without starving the work-stealing scheduler; the
+#: value never affects results.
+IPC_BLOCK_SIZE = 4
+
+#: Crashed workers are replaced up to this many times per pool run; past
+#: it the pool stops replacing them and the remaining shards run
+#: in-process (the crash-isolation ladder; see docs/parallelism.md).
+MAX_WORKER_RESTARTS = 1
+
+#: Seconds of remaining deadline below which the pool stops dispatching
+#: and finishes in-process, where the cooperative
+#: :class:`~repro.runtime.deadline.Deadline` checkpoints can fire and the
+#: runtime ladder can degrade the stage.
+DEADLINE_MARGIN = 1.0
 
 #: Seconds the scheduler waits on the result pipes before checking worker
 #: liveness and the deadline.
@@ -81,7 +103,7 @@ _POLL_SECONDS = 0.1
 #: instant it starts (bad node, OOM storm) would otherwise be respawned in
 #: a tight fork loop; the shared retry primitive paces replacements with
 #: deterministic jitter.  ``max_attempts`` is irrelevant here — the budget
-#: comes from :attr:`ParallelConfig.max_worker_restarts`.
+#: comes from :data:`MAX_WORKER_RESTARTS`.
 _RESTART_BACKOFF = RetryPolicy(base_delay=0.02, multiplier=2.0,
                                max_delay=0.25, jitter=0.5)
 
@@ -109,8 +131,9 @@ class ShardPool:
 
     Parameters
     ----------
-    parallel:
-        The :class:`~repro.parallel.config.ParallelConfig` in force.
+    workers:
+        Worker count; at 1 every task runs in-process (:meth:`run_local`)
+        and no fleet is touched.
     task_fn:
         ``task_fn(ctx, payload) -> result``; must be a module-level
         function (it crosses the process boundary under spawn).
@@ -130,13 +153,13 @@ class ShardPool:
         Span/log prefix (the pool span is ``parallel.<label>``).
     deadline:
         The run deadline.  The pool stops dispatching when
-        ``deadline.remaining()`` falls under ``parallel.deadline_margin``
+        ``deadline.remaining()`` falls under :data:`DEADLINE_MARGIN`
         and finishes in-process, where expiry raises normally.
     """
 
     def __init__(
         self,
-        parallel: ParallelConfig,
+        workers: int,
         *,
         task_fn: Callable[[WorkerContext, Any], Any],
         worker_init: Callable[[Any], Any] | None = None,
@@ -144,14 +167,14 @@ class ShardPool:
         label: str = "shards",
         deadline: Deadline | None = None,
     ):
-        self._parallel = parallel
+        self._workers = workers
         self._task_fn = task_fn
         self._worker_init = worker_init
         self._init_payload = init_payload
         self._label = label
         self._deadline = deadline
 
-    # -- in-process execution (fallback and degradation path) ---------------
+    # -- in-process execution (workers=1, fallback and degradation path) ----
 
     def run_local(
         self,
@@ -163,10 +186,12 @@ class ShardPool:
     ) -> None:
         """Run ``(task_id, payload)`` pairs in the parent process.
 
-        This is the degradation path: the checkpoint wraps the *real*
-        deadline, so a :class:`DeadlineExceeded` raised here escapes to
-        the runtime ladder exactly as sequential execution would — the
-        pool never absorbs deadline expiry.
+        This is how ``workers=1`` runs every task, and the degradation
+        path of a larger pool: the checkpoint wraps the *real* deadline,
+        so a :class:`DeadlineExceeded` raised here escapes to the runtime
+        ladder — the pool never absorbs deadline expiry.  ``count`` says
+        whether each task counts as ``parallel.tasks_inprocess`` (work a
+        pool meant for its workers).
         """
         checkpoint = None
         if self._deadline is not None and self._deadline.limited:
@@ -211,11 +236,11 @@ class ShardPool:
         todo = list(range(len(payloads)))
         if not todo:
             return results
-        n_workers = min(self._parallel.workers, len(todo))
+        n_workers = min(self._workers, len(todo))
         if n_workers <= 1 or self._deadline_near():
             self.run_local(
                 [(i, payloads[i]) for i in todo], results, on_result,
-                count=self._parallel.active,
+                count=self._workers > 1,
             )
             return results
 
@@ -248,7 +273,7 @@ class ShardPool:
         return (
             self._deadline is not None
             and self._deadline.limited
-            and self._deadline.remaining() < self._parallel.deadline_margin
+            and self._deadline.remaining() < DEADLINE_MARGIN
         )
 
 
@@ -267,7 +292,7 @@ class _Scheduler:
         # Tasks travel in contiguous blocks (fewer pipe round-trips);
         # capped so every worker still sees at least two blocks and the
         # stealing scheduler keeps something to steal.
-        block_size = max(1, min(pool._parallel.ipc_block_size,
+        block_size = max(1, min(IPC_BLOCK_SIZE,
                                 -(-len(todo) // (n_workers * 2))))
         self._blocks: list[list[int]] = [
             todo[i:i + block_size] for i in range(0, len(todo), block_size)
@@ -281,7 +306,7 @@ class _Scheduler:
         self._in_flight: dict[int, tuple[int, float]] = {}  # id -> (block, t)
         self._pending: set[int] = set(todo)
         self._restarts = RetryState(
-            _RESTART_BACKOFF, retries=pool._parallel.max_worker_restarts
+            _RESTART_BACKOFF, retries=MAX_WORKER_RESTARTS
         )
         self._failure: BaseException | None = None
         # Cross-process budget for the parallel.worker fault point: a

@@ -1,32 +1,34 @@
 """Deterministic sharding of the two expensive pipeline stages.
 
-This module decides *what* a pool task is; :mod:`repro.parallel.pool`
-decides where it runs.  Two shard shapes exist:
+The shard tasks here are the only implementation of the stats and
+support stages: this module decides *what* a task is, and
+:mod:`repro.parallel.pool` decides where it runs — in-process at one
+worker, on the subprocess fleet otherwise.  Two shard shapes exist:
 
-* **stats shards** — one attribute's candidates, chunked at pair-family
-  boundaries (:func:`~repro.insights.significance.family_chunks`).  Chunk
-  results merge per attribute *in chunk order* before the BH correction,
-  and every permutation batch derives its RNG from the root seed plus a
-  chunk-independent key, so any worker count reproduces the sequential
-  results bit for bit.  Each completed shard is handed to an ``on_chunk``
-  sink as it lands; the run controller records its pair families in a
-  :class:`~repro.stats.delta.StatsMemo` (the ``stats-partial``
-  checkpoint), and a resumed run re-tests only the families that memo
-  lacks — shards themselves are never stored.
+* **stats shards** — one attribute's candidates.  In-process an attribute
+  is one job, so one permutation-batch cache serves all its pair
+  families; on a pool it is chunked at pair-family boundaries
+  (:func:`~repro.insights.significance.family_chunks`) for balance.
+  Chunk results merge per attribute *in chunk order* before the BH
+  correction, and every permutation batch derives its RNG from the root
+  seed plus a chunk-independent key, so any worker count reproduces the
+  same results bit for bit.  Each completed shard is handed to an
+  ``on_chunk`` sink as it lands; the run controller records its pair
+  families in a :class:`~repro.stats.delta.StatsMemo` (the
+  ``stats-partial`` checkpoint), and a resumed run re-tests only the
+  families that memo lacks — shards themselves are never stored.
 
 * **support shards** — one grouping attribute's slice of the hypothesis
-  evaluation.  A worker evaluates every (pair-group × its grouping ×
-  aggregate) combination and ships back compact records; the parent then
-  *replays the sequential iteration order* (pair groups in insertion
-  order × valid groupings × aggregates) over those records, so the
-  assembled query list, evidence counts, and even the aggregation-query /
-  backend-statement counters are identical to a ``workers=1`` run
-  (per-grouping shards partition the evaluators' ``(grouping, selection)``
-  cache keys cleanly).
+  evaluation.  A task evaluates every (pair-group × its grouping ×
+  aggregate) combination and returns compact records; the caller then
+  assembles them in one fixed order (pair groups in insertion order ×
+  valid groupings × aggregates), so the query list and evidence counts
+  are the same at every worker count.  In-process tasks share the
+  caller's backend and evaluator; pool workers re-create their own
+  (SQLite connections never cross process boundaries) and report their
+  aggregation-query and backend-statement counts back.
 
-Workers re-create their own execution backend (SQLite connections never
-cross process boundaries) and their spans/counters are folded back into
-the main trace by the pool.
+Workers' spans/counters are folded back into the main trace by the pool.
 """
 
 from __future__ import annotations
@@ -52,11 +54,17 @@ from repro.runtime.deadline import Deadline
 from repro.stats.permutation import TestResult
 
 __all__ = [
+    "CHUNK_SIZE",
     "ChunkSink",
     "evidence_supported",
     "run_stats_shards",
     "run_support_shards",
 ]
+
+#: Target candidates per stats shard on a worker pool.  Shards are cut
+#: only at pair-family boundaries so the batched kernel sees whole
+#: families per worker; the value never affects results, only balance.
+CHUNK_SIZE = 250
 
 #: ``(attribute, candidates, oriented, results)`` of one tested chunk.
 ChunkSink = Callable[
@@ -72,13 +80,19 @@ ChunkSink = Callable[
 
 def _stats_jobs(
     work: Sequence[tuple[str, Table, list[CandidateInsight]]],
-    chunk_size: int,
+    workers: int,
 ) -> list[tuple[str, list[CandidateInsight]]]:
-    """``(attribute, chunk)`` jobs, in work order."""
+    """``(attribute, chunk)`` jobs, in work order.
+
+    In-process each attribute is one job (one batch cache for all its
+    pair families); a pool gets :data:`CHUNK_SIZE` chunks to balance.
+    """
+    if workers == 1:
+        return [(attribute, candidates) for attribute, _, candidates in work]
     return [
         (attribute, chunk)
         for attribute, _, candidates in work
-        for chunk in family_chunks(candidates, chunk_size)
+        for chunk in family_chunks(candidates, CHUNK_SIZE)
     ]
 
 
@@ -118,10 +132,10 @@ def run_stats_shards(
     on_chunk: ChunkSink | None = None,
     raw_out: dict[str, tuple[list, list]] | None = None,
 ) -> list[TestedInsight]:
-    """Test every attribute's candidates across the shard pool.
+    """Test every attribute's candidates as shard tasks.
 
-    Returns the tested insights in the exact order the sequential path
-    produces them: attributes in ``work`` order, candidates in enumeration
+    Returns the tested insights in one fixed order at every worker
+    count: attributes in ``work`` order, candidates in enumeration
     order, BH applied per attribute family over the merged chunks.
 
     ``on_chunk`` fires in the parent as each shard completes (in
@@ -130,7 +144,7 @@ def run_stats_shards(
     the BH correction — the incremental stats stage memoizes these per
     pair family.
     """
-    jobs = _stats_jobs(work, parallel.chunk_size)
+    jobs = _stats_jobs(work, parallel.workers)
     tables = {attribute: sample for attribute, sample, _ in work}
     # Under the shm plane workers receive handles (a table already shared
     # — e.g. the session's resident table — reuses its segment; sampled
@@ -151,7 +165,7 @@ def run_stats_shards(
                     owned.append(owned_store)
             sources[attribute] = payload
     pool = ShardPool(
-        parallel,
+        parallel.workers,
         task_fn=_stats_task,
         worker_init=_stats_worker_init,
         init_payload=(sources, config),
@@ -203,8 +217,19 @@ def evidence_supported(
     return itype.supports(result.y, result.x)
 
 
-class _SupportWorkerState:
-    """Per-worker evaluation state: own backend, own evaluator."""
+class _SupportState:
+    """What a support task reads: a backend, its evaluator, the demand."""
+
+    def __init__(self, backend, evaluator, groups, valid_groupings, aggregates):
+        self.backend = backend
+        self.evaluator = evaluator
+        self.groups = groups
+        self.valid_groupings = valid_groupings
+        self.aggregates = aggregates
+
+
+class _SupportWorkerState(_SupportState):
+    """A pool worker's state: its own backend, a rebuildable evaluator."""
 
     def __init__(self, table, backend_name, evaluator_name, memory_budget,
                  groups, valid_groupings, aggregates):
@@ -214,12 +239,10 @@ class _SupportWorkerState:
         from repro.backend import create_backend
 
         # create_backend resolves a TableHandle into a zero-copy view.
-        self.backend = create_backend(backend_name, table)
+        super().__init__(create_backend(backend_name, table), None,
+                         groups, valid_groupings, aggregates)
         self.evaluator_name = evaluator_name
         self.memory_budget = memory_budget
-        self.groups = groups
-        self.valid_groupings = valid_groupings
-        self.aggregates = aggregates
         self.refresh()
 
     def refresh(self) -> None:
@@ -254,7 +277,7 @@ def _support_task(ctx: WorkerContext, grouping: str):
     at least one member — plus this shard's aggregation-query and
     backend-statement counts.
     """
-    state: _SupportWorkerState = ctx.state
+    state: _SupportState = ctx.state
     queries_before = state.evaluator.queries_sent
     statements_before = state.backend.statements_executed
     records = []
@@ -303,7 +326,8 @@ def run_support_shards(
     valid_groupings: dict[str, list[str]],
     aggregates: Sequence[str],
     *,
-    backend_name: str,
+    backend,
+    evaluator,
     evaluator_name: str,
     memory_budget: int | None,
     parallel: ParallelConfig,
@@ -311,28 +335,47 @@ def run_support_shards(
 ) -> tuple[dict[tuple[int, str, str], tuple[int, int, tuple[int, ...]]], int, int]:
     """Evaluate the hypothesis stage sharded by grouping attribute.
 
+    The shards run in-process on the caller's ``backend`` and
+    ``evaluator`` at one worker, and always for the set-cover evaluator,
+    whose up-front cover is shared by every grouping (per-grouping
+    workers would each rebuild it).  Otherwise they run on the worker
+    pool, each worker over its own backend and evaluator.
+
     Returns ``(records, queries_sent, statements_executed)`` where
     ``records`` maps ``(group_index, grouping, agg)`` to ``(tuples_aggregated,
-    n_groups, supported member indices)``.  The caller replays the
-    sequential iteration order over this mapping to assemble the supported
-    queries byte-identically.
+    n_groups, supported member indices)``; the caller assembles the
+    supported queries from it in its canonical order.  The two counts
+    cover only traffic on backends other than the caller's (pool
+    workers, or their in-process fallback) — the caller's own evaluator
+    and backend count the rest.
     """
     shard_groupings = sorted({g for gs in valid_groupings.values() for g in gs})
-    # Ship the table's handle when the shm plane is on (a session's
-    # resident table is already shared, costing nothing extra here).
-    source: object = table
+    in_process = not parallel.active or evaluator_name == "setcover"
     owned_store = None
-    if _exportable(parallel):
-        source, owned_store = export_table(table, "shm")
-    pool = ShardPool(
-        parallel,
-        task_fn=_support_task,
-        worker_init=_support_worker_init,
-        init_payload=(source, backend_name, evaluator_name, memory_budget,
-                      groups, valid_groupings, list(aggregates)),
-        label="support",
-        deadline=deadline,
-    )
+    if in_process:
+        pool = ShardPool(
+            1,
+            task_fn=_support_task,
+            init_payload=_SupportState(backend, evaluator, groups,
+                                       valid_groupings, list(aggregates)),
+            label="support",
+            deadline=deadline,
+        )
+    else:
+        # Ship the table's handle when the shm plane is on (a session's
+        # resident table is already shared, costing nothing extra here).
+        source: object = table
+        if _exportable(parallel):
+            source, owned_store = export_table(table, "shm")
+        pool = ShardPool(
+            parallel.workers,
+            task_fn=_support_task,
+            worker_init=_support_worker_init,
+            init_payload=(source, backend.name, evaluator_name, memory_budget,
+                          groups, valid_groupings, list(aggregates)),
+            label="support",
+            deadline=deadline,
+        )
     try:
         outputs = pool.run(shard_groupings)
     finally:
@@ -343,8 +386,9 @@ def run_support_shards(
     statements = 0
     for grouping, output in zip(shard_groupings, outputs):
         shard_records, shard_queries, shard_statements = output
-        queries_sent += shard_queries
-        statements += shard_statements
+        if not in_process:
+            queries_sent += shard_queries
+            statements += shard_statements
         for group_index, agg, tuples_aggregated, n_groups, supported in shard_records:
             records[(group_index, grouping, agg)] = (
                 tuples_aggregated, n_groups, supported

@@ -188,7 +188,7 @@ def test_config_round_trips_through_dict():
         generation=GenerationConfig(
             backend="sqlite",
             significance=SignificanceConfig(n_permutations=123),
-            parallel=ParallelConfig(workers=3, chunk_size=17),
+            parallel=ParallelConfig(workers=3, store="heap"),
         ),
     )
     rebuilt = ReproConfig.from_dict(config.to_dict())
@@ -197,6 +197,7 @@ def test_config_round_trips_through_dict():
     assert rebuilt.backend == "sqlite"
     assert rebuilt.significance.n_permutations == 123
     assert rebuilt.parallel.workers == 3
+    assert rebuilt.parallel.store == "heap"
 
 
 def test_from_dict_rejects_zero_permutations():
@@ -223,6 +224,9 @@ def test_config_dict_is_json_serializable():
          "unknown significance keys"),
         ({"generation": {"parallel": {"backend": "threads"}}},
          "unknown ParallelConfig keys"),
+        # Scheduler tuning values are module constants, not config keys.
+        ({"generation": {"parallel": {"chunk_size": 17}}},
+         "unknown ParallelConfig keys"),
     ],
 )
 def test_from_dict_rejects_unknown_keys(payload, match):
@@ -230,32 +234,13 @@ def test_from_dict_rejects_unknown_keys(payload, match):
         ReproConfig.from_dict(payload)
 
 
-def test_from_env_reads_the_ci_matrix_hooks():
-    config = ReproConfig.from_env(
-        {
-            "REPRO_BACKEND": "sqlite",
-            "REPRO_WORKERS": "2",
-            "REPRO_SHM": "0",
-            "REPRO_BUDGET": "3.5",
-            "REPRO_SOLVER": "exact",
-            "REPRO_DEADLINE": "30",
-        }
-    )
-    assert config.backend == "sqlite"
-    assert config.parallel.workers == 2
-    assert config.parallel.store == "heap"
-    assert config.budget == 3.5
-    assert config.solver == "exact"
-    assert config.deadline_seconds == 30.0
-
-
-def test_from_env_empty_is_default():
-    assert ReproConfig.from_env({}).to_dict() == ReproConfig().to_dict()
-
-
-def test_from_env_rejects_garbage_numbers():
+def test_parallel_defaults_read_the_ci_matrix_hooks(monkeypatch):
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    monkeypatch.setenv("REPRO_SHM", "0")
+    assert ReproConfig().parallel == ParallelConfig(workers=2, store="heap")
+    monkeypatch.setenv("REPRO_WORKERS", "many")
     with pytest.raises(ReproError, match="REPRO_WORKERS"):
-        ReproConfig.from_env({"REPRO_WORKERS": "many"})
+        ParallelConfig()
 
 
 def test_with_helpers_are_functional_updates():

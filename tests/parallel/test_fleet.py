@@ -23,10 +23,10 @@ import pytest
 from repro import obs
 from repro.errors import ReproError
 from repro.parallel import (
-    ParallelConfig,
     ShardPool,
     WorkerFleet,
     current_fleet,
+    pool as pool_module,
     use_fleet,
 )
 from repro.relational import table_from_arrays
@@ -76,9 +76,9 @@ def _fail(ctx, payload):
     raise ValueError("stage failed")
 
 
-def _run_summed(table_or_handle, payloads, **parallel_kwargs):
+def _run_summed(table_or_handle, payloads):
     pool = ShardPool(
-        ParallelConfig(workers=2, **parallel_kwargs),
+        2,
         task_fn=_sum_plus,
         worker_init=_attach_init,
         init_payload=table_or_handle,
@@ -102,18 +102,18 @@ class TestAmbientFleet:
 
     def test_workers_spawn_once_across_pool_runs(self):
         with WorkerFleet() as fleet, use_fleet(fleet):
-            first = ShardPool(ParallelConfig(workers=2), task_fn=_double)
-            second = ShardPool(ParallelConfig(workers=2), task_fn=_double)
+            first = ShardPool(2, task_fn=_double)
+            second = ShardPool(2, task_fn=_double)
             assert first.run([1, 2, 3, 4]) == [2, 4, 6, 8]
             assert second.run([5, 6, 7, 8]) == [10, 12, 14, 16]
         assert _counters()["parallel.worker_spawns"] == 2
 
     def test_a_failed_stage_does_not_poison_the_fleet(self):
         with WorkerFleet() as fleet, use_fleet(fleet):
-            bad = ShardPool(ParallelConfig(workers=2), task_fn=_fail)
+            bad = ShardPool(2, task_fn=_fail)
             with pytest.raises(ReproError, match="ValueError.*stage failed"):
                 bad.run([1, 2, 3, 4])
-            good = ShardPool(ParallelConfig(workers=2), task_fn=_double)
+            good = ShardPool(2, task_fn=_double)
             assert good.run([1, 2, 3, 4]) == [2, 4, 6, 8]
         assert _counters()["parallel.worker_spawns"] == 2
 
@@ -151,10 +151,9 @@ class TestDataPlaneIpc:
             clean = clean_metrics.snapshot()["counters"]["parallel.ipc_bytes"]
 
             monkeypatch.setenv("REPRO_FAULTS", "parallel.worker:kill:x1")
+            monkeypatch.setattr(pool_module, "MAX_WORKER_RESTARTS", 2)
             with obs.capture() as (_, fault_metrics):
-                assert _run_summed(
-                    handle, payloads, max_worker_restarts=2
-                ) == expected
+                assert _run_summed(handle, payloads) == expected
             counters = fault_metrics.snapshot()["counters"]
             assert counters.get("parallel.worker_restarts", 0) >= 1
 
@@ -168,13 +167,11 @@ class TestDataPlaneIpc:
 
     def test_worker_kill_leaks_no_segments(self, big_table, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "parallel.worker:kill:x1")
+        monkeypatch.setattr(pool_module, "MAX_WORKER_RESTARTS", 2)
         shared = share_table(big_table)
         segment = shared.handle().segment
         try:
-            _run_summed(
-                shared.handle(), [float(i) for i in range(8)],
-                max_worker_restarts=2,
-            )
+            _run_summed(shared.handle(), [float(i) for i in range(8)])
             assert _counters().get("parallel.worker_restarts", 0) >= 1
             # The owner still holds the segment (killed workers must not
             # have unlinked it through the resource tracker)...

@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.errors import DeadlineExceeded, ReproError
-from repro.parallel import ParallelConfig, ShardPool
+from repro.parallel import ShardPool, pool as pool_module
 from repro.runtime.deadline import Deadline
 
 
@@ -90,12 +90,12 @@ def _bad_init(payload):
 
 
 def test_results_come_back_in_payload_order():
-    pool = ShardPool(ParallelConfig(workers=4), task_fn=_double)
+    pool = ShardPool(4, task_fn=_double)
     assert pool.run(list(range(10))) == [i * 2 for i in range(10)]
 
 
 def test_single_worker_runs_in_process_without_pool_counters():
-    pool = ShardPool(ParallelConfig(workers=1), task_fn=_double)
+    pool = ShardPool(1, task_fn=_double)
     assert pool.run([1, 2, 3]) == [2, 4, 6]
     counters = _counters()
     assert "parallel.tasks_stolen" not in counters
@@ -103,7 +103,7 @@ def test_single_worker_runs_in_process_without_pool_counters():
 
 
 def test_init_payload_becomes_state():
-    pool = ShardPool(ParallelConfig(workers=2), task_fn=_state_plus, init_payload=10)
+    pool = ShardPool(2, task_fn=_state_plus, init_payload=10)
     assert pool.run([1, 2, 3, 4]) == [11, 12, 13, 14]
 
 
@@ -111,17 +111,16 @@ def test_idle_worker_steals_from_the_busy_one():
     # Worker 0's first shard sleeps; worker 1 drains its own deque and
     # must steal the rest of worker 0's block to finish the run.
     payloads = [(0, 0.5)] + [(i, 0.0) for i in range(1, 8)]
-    pool = ShardPool(ParallelConfig(workers=2), task_fn=_sleepy)
+    pool = ShardPool(2, task_fn=_sleepy)
     assert pool.run(payloads) == list(range(8))
     assert _counters().get("parallel.tasks_stolen", 0) >= 1
 
 
-def test_crashed_worker_is_replaced_and_its_shard_requeued(tmp_path):
+def test_crashed_worker_is_replaced_and_its_shard_requeued(tmp_path, monkeypatch):
+    monkeypatch.setattr(pool_module, "MAX_WORKER_RESTARTS", 2)
     marker = str(tmp_path / "crashed-once")
     payloads = [(i, marker if i == 1 else "") for i in range(6)]
-    pool = ShardPool(
-        ParallelConfig(workers=2, max_worker_restarts=2), task_fn=_crash_once
-    )
+    pool = ShardPool(2, task_fn=_crash_once)
     assert pool.run(payloads) == [i * 3 for i in range(6)]
     assert _counters().get("parallel.worker_restarts", 0) >= 1
 
@@ -131,15 +130,16 @@ def test_crashed_worker_is_replaced_and_its_shard_requeued(tmp_path):
 #: shared by every worker unusable, hanging the scheduler for good.
 _CRASH_AFTER_SHIP_TRIALS = """
 import os, sys, tempfile
-from repro.parallel import ParallelConfig, ShardPool
+from repro.parallel import ShardPool, pool as pool_module
 from tests.parallel.test_pool import _ship_or_exit
+
+pool_module.IPC_BLOCK_SIZE = 1
 
 with tempfile.TemporaryDirectory() as markers:
     for trial in range(int(sys.argv[1])):
         marker = os.path.join(markers, f"exit-{trial}")
         payloads = [(1024, ""), (0, marker), (1024, ""), (1024, "")]
-        pool = ShardPool(ParallelConfig(workers=2, ipc_block_size=1),
-                         task_fn=_ship_or_exit)
+        pool = ShardPool(2, task_fn=_ship_or_exit)
         results = pool.run(payloads)
         assert results == [b"x" * 1024, b"", b"x" * 1024, b"x" * 1024], trial
 print("ok")
@@ -190,14 +190,15 @@ def _exit_once_in_init(marker_dir):
 #: read end the parent also held never broke that write: it blocked forever.
 _DIE_DURING_BIG_SEND_TRIALS = """
 import sys, tempfile
-from repro.parallel import ParallelConfig, ShardPool
+from repro.parallel import ShardPool, pool as pool_module
 from tests.parallel.test_pool import _exit_once_in_init, _payload_size
+
+pool_module.IPC_BLOCK_SIZE = 1
 
 big = b"x" * (1 << 20)
 for trial in range(int(sys.argv[1])):
     with tempfile.TemporaryDirectory() as markers:
-        pool = ShardPool(ParallelConfig(workers=2, ipc_block_size=1),
-                         task_fn=_payload_size, worker_init=_exit_once_in_init,
+        pool = ShardPool(2, task_fn=_payload_size, worker_init=_exit_once_in_init,
                          init_payload=markers)
         assert pool.run([big] * 4) == [len(big)] * 4, trial
 print("ok")
@@ -226,52 +227,45 @@ def test_worker_death_during_a_large_send_never_hangs_the_pool():
     assert out.strip() == "ok"
 
 
-def test_restart_budget_exhausted_degrades_to_in_process():
+def test_restart_budget_exhausted_degrades_to_in_process(monkeypatch):
     # Every subprocess attempt dies; once the restart budget is spent the
     # remaining shards must complete in the parent process.
+    monkeypatch.setattr(pool_module, "MAX_WORKER_RESTARTS", 1)
     payloads = [(i, os.getpid()) for i in range(5)]
-    pool = ShardPool(
-        ParallelConfig(workers=2, max_worker_restarts=1),
-        task_fn=_crash_in_subprocess,
-    )
+    pool = ShardPool(2, task_fn=_crash_in_subprocess)
     assert pool.run(payloads) == [i + 100 for i in range(5)]
     assert _counters().get("parallel.tasks_inprocess", 0) >= 1
 
 
 def test_worker_exception_reraises_as_repro_error():
-    pool = ShardPool(ParallelConfig(workers=2), task_fn=_raise_value_error)
+    pool = ShardPool(2, task_fn=_raise_value_error)
     with pytest.raises(ReproError, match="ValueError.*boom"):
         pool.run([1, 2, 3, 4])
 
 
 def test_worker_deadline_keeps_its_type():
-    pool = ShardPool(ParallelConfig(workers=2), task_fn=_raise_deadline)
+    pool = ShardPool(2, task_fn=_raise_deadline)
     with pytest.raises(DeadlineExceeded):
         pool.run([1, 2, 3, 4])
 
 
 def test_worker_memory_error_keeps_its_type():
-    pool = ShardPool(ParallelConfig(workers=2), task_fn=_raise_memory)
+    pool = ShardPool(2, task_fn=_raise_memory)
     with pytest.raises(MemoryError):
         pool.run([1, 2, 3, 4])
 
 
 def test_worker_init_failure_surfaces():
-    pool = ShardPool(
-        ParallelConfig(workers=2), task_fn=_double, worker_init=_bad_init
-    )
+    pool = ShardPool(2, task_fn=_double, worker_init=_bad_init)
     with pytest.raises(ReproError, match="RuntimeError.*init exploded"):
         pool.run([1, 2, 3, 4])
 
 
-def test_near_deadline_skips_the_pool_entirely():
+def test_near_deadline_skips_the_pool_entirely(monkeypatch):
     # Remaining deadline is below the margin from the start: the pool must
     # finish in-process (where real expiry raises for the runtime ladder).
-    pool = ShardPool(
-        ParallelConfig(workers=2, deadline_margin=3600.0),
-        task_fn=_double,
-        deadline=Deadline(30.0),
-    )
+    monkeypatch.setattr(pool_module, "DEADLINE_MARGIN", 3600.0)
+    pool = ShardPool(2, task_fn=_double, deadline=Deadline(30.0))
     assert pool.run([1, 2, 3]) == [2, 4, 6]
     assert _counters().get("parallel.tasks_inprocess", 0) == 3
     assert "parallel.tasks_stolen" not in _counters()
@@ -279,14 +273,14 @@ def test_near_deadline_skips_the_pool_entirely():
 
 def test_on_result_fires_per_completed_shard():
     seen: dict[int, int] = {}
-    pool = ShardPool(ParallelConfig(workers=2), task_fn=_double)
+    pool = ShardPool(2, task_fn=_double)
     pool.run([5, 6, 7], on_result=lambda i, v: seen.__setitem__(i, v))
     assert seen == {0: 10, 1: 12, 2: 14}
 
 
 def test_worker_spans_are_adopted_into_the_main_trace(isolated_obs):
     tracer, _ = isolated_obs
-    pool = ShardPool(ParallelConfig(workers=2), task_fn=_double, label="adopt")
+    pool = ShardPool(2, task_fn=_double, label="adopt")
     pool.run([1, 2, 3, 4])
     names = [span.name for span in tracer.spans()]
     assert "parallel.adopt" in names
@@ -300,10 +294,8 @@ def test_crashed_task_spans_adopted_exactly_once(isolated_obs, monkeypatch):
     """
     tracer, _ = isolated_obs
     monkeypatch.setenv("REPRO_FAULTS", "parallel.worker:kill:x1")
-    pool = ShardPool(
-        ParallelConfig(workers=2, max_worker_restarts=2),
-        task_fn=_double, label="faulty",
-    )
+    monkeypatch.setattr(pool_module, "MAX_WORKER_RESTARTS", 2)
+    pool = ShardPool(2, task_fn=_double, label="faulty")
     payloads = list(range(8))
     assert pool.run(payloads) == [i * 2 for i in payloads]
     assert _counters().get("parallel.worker_restarts", 0) >= 1
@@ -321,7 +313,7 @@ def test_worker_labeled_metrics_merge_across_the_process_boundary(
     isolated_obs,
 ):
     _, metrics = isolated_obs
-    pool = ShardPool(ParallelConfig(workers=2), task_fn=_labeled_counting)
+    pool = ShardPool(2, task_fn=_labeled_counting)
     assert pool.run([1, 2, 3, 4]) == [1, 2, 3, 4]
     snapshot = metrics.snapshot()["counters"]
     assert snapshot.get("pooltest.tasks{flavor=even}", 0) == 2

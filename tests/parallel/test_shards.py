@@ -9,7 +9,7 @@ from repro import persistence
 from repro.generation import GenerationConfig
 from repro.generation.generator import run_stats_stage
 from repro.insights import SignificanceConfig
-from repro.parallel import ParallelConfig
+from repro.parallel import ParallelConfig, shards
 from repro.persistence import load_checkpoint
 from repro.relational.table import content_token
 from repro.runtime import resilient_generate
@@ -27,10 +27,16 @@ def isolated_obs():
         yield tracer, metrics
 
 
+@pytest.fixture(autouse=True)
+def small_shards(monkeypatch):
+    """Cut pool shards of ~8 candidates, so each attribute spans several."""
+    monkeypatch.setattr(shards, "CHUNK_SIZE", 8)
+
+
 def _config(workers: int, share: bool = True, **parallel_kwargs) -> GenerationConfig:
     return GenerationConfig(
         significance=SignificanceConfig(n_permutations=60, share_across_pairs=share),
-        parallel=ParallelConfig(workers=workers, chunk_size=8, **parallel_kwargs),
+        parallel=ParallelConfig(workers=workers, **parallel_kwargs),
     )
 
 
@@ -152,7 +158,7 @@ def test_partial_memo_with_mismatched_config_is_not_reused(covid, tmp_path,
     # new partial checkpoints hold only families tested under the drift.
     drifted = GenerationConfig(
         significance=SignificanceConfig(n_permutations=61),
-        parallel=ParallelConfig(workers=2, chunk_size=8),
+        parallel=ParallelConfig(workers=2),
     )
     assert incremental_config_token(drifted) != resume.memo.token
     rerun = resilient_generate(covid, drifted, budget=4, checkpoint_path=path,

@@ -42,14 +42,12 @@ CANDIDATES = FAMILY_XY + FAMILY_XZ
 class TestConfigToken:
     def test_stable_across_equivalent_configs(self):
         one = GenerationConfig()
-        # Backend, chunking, and parallelism are row-level-invariant: the
-        # token must not move, or appends could never reuse a memo.
+        # Backend and parallelism are row-level-invariant: the token must
+        # not move, or appends could never reuse a memo.
         two = dataclasses.replace(one, backend="sqlite")
         assert incremental_config_token(one) == incremental_config_token(two)
         # A resumed stats-partial memo must serve any worker count.
-        three = dataclasses.replace(
-            one, parallel=ParallelConfig(workers=2, chunk_size=8)
-        )
+        three = dataclasses.replace(one, parallel=ParallelConfig(workers=2))
         assert incremental_config_token(one) == incremental_config_token(three)
 
     def test_token_matches_memos_written_before_the_kernel_switch_went(
