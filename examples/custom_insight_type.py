@@ -31,11 +31,11 @@ class RangeGreater(InsightType):
     null_hypothesis = "range(X) = range(Y)"
     statistic_name = "|range_X - range_Y|"
 
-    def observed_statistic(self, x: np.ndarray, y: np.ndarray) -> float:
-        x, y = x[~np.isnan(x)], y[~np.isnan(y)]
-        if x.size == 0 or y.size == 0:
+    def side_statistic(self, values: np.ndarray) -> float:
+        # The observed statistic is side_statistic(X) - side_statistic(Y).
+        if values.size == 0:
             return float("nan")
-        return float((x.max() - x.min()) - (y.max() - y.min()))
+        return float(values.max() - values.min())
 
     def test(self, batch: SharedPermutations, x: np.ndarray, y: np.ndarray) -> TestResult:
         x, y = x[~np.isnan(x)], y[~np.isnan(y)]

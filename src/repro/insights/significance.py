@@ -86,7 +86,9 @@ class _BatchCache:
     rather than drawn from a shared sequential stream, so results are
     identical however the candidate list is chunked or parallelized.
     Without sharing, a fresh batch's key adds the requesting candidate's
-    unoriented key, which is just as chunk-independent.
+    unoriented key, which is just as chunk-independent.  ``reused`` counts
+    the lookups served from the cache; the caller adds it to the
+    ``stats.permutation_batches_reused`` counter in one step.
     """
 
     def __init__(self, seed: int, attribute: str, n_permutations: int, share: bool):
@@ -95,6 +97,7 @@ class _BatchCache:
         self._n_permutations = n_permutations
         self._share = share
         self._cache: dict[tuple[int, int], SharedPermutations] = {}
+        self.reused = 0
 
     def _make(self, n_x: int, n_y: int, extra: object = None) -> SharedPermutations:
         rng = derive_rng(self._seed, "perm-batch", self._attribute, n_x, n_y, extra)
@@ -110,7 +113,7 @@ class _BatchCache:
             batch = self._make(n_x, n_y)
             self._cache[key] = batch
         else:
-            obs.counter("stats.permutation_batches_reused").inc()
+            self.reused += 1
         return batch
 
 
@@ -207,14 +210,14 @@ def family_chunks(
         raise StatisticsError("chunk_size must be at least 1")
     chunks: list[list[CandidateInsight]] = []
     current: list[CandidateInsight] = []
+    current_key = None
     for candidate in candidates:
-        if (
-            len(current) >= chunk_size
-            and candidate.pair_key != current[-1].pair_key
-        ):
+        key = candidate.pair_key
+        if len(current) >= chunk_size and key != current_key:
             chunks.append(current)
             current = []
         current.append(candidate)
+        current_key = key
     if current:
         chunks.append(current)
     return chunks
@@ -236,9 +239,9 @@ def run_attribute_chunk(
     chunking (permutation batches are key-derived, not stream-drawn).
 
     For the permutation engine the loop only *plans* tests — orientation,
-    NaN cleaning (once per value and measure), and batch lookup — and the
-    pending tests of each shared batch are then executed together through
-    the mask-GEMM kernel
+    NaN cleaning and the side statistic (each once per value and measure),
+    and batch lookup — and the pending tests of each shared batch are then
+    executed together through the mask-GEMM kernel
     (:func:`repro.stats.kernel.run_batched_tests`).  Results land in
     planning order, so they match calling each type's ``test`` method on
     the same batch candidate by candidate.
@@ -262,10 +265,12 @@ def run_attribute_chunk(
             config.seed, attribute, config.n_permutations, config.share_across_pairs
         )
 
-        # NaN-free sample per (value, measure), built on first use in the
-        # chunk: every candidate of a value shares it rather than repeating
-        # the label lookup, the row gather and the NaN filter.
+        # NaN-free sample per (value, measure), and its side statistic per
+        # (type, value, measure), built on first use in the chunk: every
+        # candidate of a value shares them rather than repeating the label
+        # lookup, the row gather, the NaN filter and the statistic.
         samples: dict[tuple[str, str], np.ndarray] = {}
+        sides: dict[tuple[str, str, str], tuple[np.ndarray, float]] = {}
 
         def clean_sample(value: str, measure: str) -> np.ndarray:
             rows = row_index.get(column.code_of(value))
@@ -277,6 +282,16 @@ def run_attribute_chunk(
             sample = values[rows]
             return sample[~np.isnan(sample)]
 
+        def side(code: str, value: str, measure: str) -> tuple[np.ndarray, float]:
+            found = sides.get((code, value, measure))
+            if found is None:
+                sample = samples.get((value, measure))
+                if sample is None:
+                    sample = samples[value, measure] = clean_sample(value, measure)
+                statistic = insight_type(code).side_statistic(sample)
+                found = sides[code, value, measure] = (sample, statistic)
+            return found
+
         oriented: list[CandidateInsight] = []
         results: list[TestResult | None] = []
         # Planned tests per shared batch, in planning order.
@@ -284,21 +299,18 @@ def run_attribute_chunk(
         for candidate in group:
             if checkpoint is not None:
                 checkpoint()
-            itype = insight_type(candidate.type_code)
-            key_x = (candidate.val, candidate.measure)
-            key_y = (candidate.val_other, candidate.measure)
-            x = samples.get(key_x)
-            if x is None:
-                x = samples[key_x] = clean_sample(*key_x)
-            y = samples.get(key_y)
-            if y is None:
-                y = samples[key_y] = clean_sample(*key_y)
+            code = candidate.type_code
+            itype = insight_type(code)
+            x, stat_x = side(code, candidate.val, candidate.measure)
+            y, stat_y = side(code, candidate.val_other, candidate.measure)
             if x.size == 0 or y.size == 0:
                 advance(1)
                 continue
-            # Orient toward the observed dominant side.
-            statistic = itype.observed_statistic(x, y)
-            if np.isnan(statistic):
+            # Orient toward the observed dominant side.  IEEE subtraction
+            # is antisymmetric, so the flipped statistic is exactly
+            # ``stat_y - stat_x``.
+            statistic = stat_x - stat_y
+            if statistic != statistic:  # NaN: an undefined side
                 advance(1)
                 continue
             if statistic >= 0:
@@ -306,12 +318,13 @@ def run_attribute_chunk(
                 final = candidate
             else:
                 side_x, side_y = y, x
+                statistic = stat_y - stat_x
                 final = CandidateInsight(
                     candidate.measure,
                     candidate.attribute,
                     candidate.val_other,
                     candidate.val,
-                    candidate.type_code,
+                    code,
                 )
             if config.engine == "parametric":
                 oriented.append(final)
@@ -322,14 +335,15 @@ def run_attribute_chunk(
             slot = len(results)
             oriented.append(final)
             results.append(None)
-            observed = itype.observed_statistic(side_x, side_y)
             entry = pending.get(id(batch))
             if entry is None:
                 entry = (batch, [])
                 pending[id(batch)] = entry
             entry[1].append(
-                KernelTest(slot, itype, np.concatenate([side_x, side_y]), observed)
+                KernelTest(slot, itype, np.concatenate([side_x, side_y]), statistic)
             )
+        if batches.reused:
+            obs.counter("stats.permutation_batches_reused").inc(batches.reused)
         for batch, planned in pending.values():
             for slot, result in run_batched_tests(batch, planned, checkpoint, progress):
                 results[slot] = result

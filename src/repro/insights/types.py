@@ -8,7 +8,9 @@ hypothesis predicate, a statistical test, and the measure adaptations).
 
 :class:`InsightType` bundles exactly those ingredients:
 
-* :meth:`test` — the one-sided permutation test on raw data (Table 1);
+* :meth:`side_statistic` — the statistic of one side; the observed test
+  statistic is its difference between the two sides (Table 1);
+* :meth:`test` — the one-sided permutation test on raw data;
 * :meth:`supports` — the predicate ``p`` evaluated on the two aggregated
   series of a comparison-query result (Definition 3.8);
 * :meth:`hypothesis_predicate_sql` — the SQL rendering of ``p`` used in
@@ -62,11 +64,12 @@ class InsightType(abc.ABC):
     ) -> np.ndarray:
         """Per-permutation statistics from X-side pooled-moment sums.
 
-        ``x_sums[k]`` holds, for every permutation, the X-side sum of the
-        pooled values raised to the power ``k + 1``; ``totals[k]`` the
-        matching pooled total.  Only called when ``moment_order > 0``; must
-        evaluate the same floating-point expression as :meth:`test` so the
-        batched kernel and the per-test path agree exactly.
+        ``x_sums[k]`` holds ``(T, P)`` X-side sums of the pooled values
+        raised to the power ``k + 1``, one row per test and one column per
+        permutation; ``totals[k]`` the matching ``(T, 1)`` pooled totals.
+        Only called when ``moment_order > 0``; must evaluate the same
+        floating-point expression, element for element, as :meth:`test` so
+        the batched kernel and the per-test path agree exactly.
         """
         raise NotImplementedError(
             f"insight type {self.code!r} declares moment_order="
@@ -82,8 +85,16 @@ class InsightType(abc.ABC):
         """Parametric counterpart (used by the ablation engine)."""
 
     @abc.abstractmethod
+    def side_statistic(self, values: np.ndarray) -> float:
+        """Statistic of one NaN-free side; NaN where it is undefined."""
+
     def observed_statistic(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Signed statistic on raw data; > 0 means X dominates Y."""
+        """Signed statistic on raw data; > 0 means X dominates Y.
+
+        Always ``side_statistic(X) - side_statistic(Y)``: the stats runner
+        computes each side once per value and measure and subtracts.
+        """
+        return self.side_statistic(_finite(x)) - self.side_statistic(_finite(y))
 
     @abc.abstractmethod
     def supports(self, x_series: np.ndarray, y_series: np.ndarray) -> bool:
@@ -120,11 +131,8 @@ class MeanGreater(InsightType):
     def parametric_test(self, x: np.ndarray, y: np.ndarray) -> TestResult:
         return welch_mean_greater(x, y)
 
-    def observed_statistic(self, x: np.ndarray, y: np.ndarray) -> float:
-        x, y = _finite(x), _finite(y)
-        if x.size == 0 or y.size == 0:
-            return float("nan")
-        return float(np.mean(x) - np.mean(y))
+    def side_statistic(self, values: np.ndarray) -> float:
+        return float(np.mean(values)) if values.size else float("nan")
 
     def supports(self, x_series: np.ndarray, y_series: np.ndarray) -> bool:
         x, y = _finite(x_series), _finite(y_series)
@@ -156,11 +164,8 @@ class VarianceGreater(InsightType):
     def parametric_test(self, x: np.ndarray, y: np.ndarray) -> TestResult:
         return f_variance_greater(x, y)
 
-    def observed_statistic(self, x: np.ndarray, y: np.ndarray) -> float:
-        x, y = _finite(x), _finite(y)
-        if x.size < 2 or y.size < 2:
-            return float("nan")
-        return float(np.var(x, ddof=1) - np.var(y, ddof=1))
+    def side_statistic(self, values: np.ndarray) -> float:
+        return float(np.var(values, ddof=1)) if values.size >= 2 else float("nan")
 
     def supports(self, x_series: np.ndarray, y_series: np.ndarray) -> bool:
         x, y = _finite(x_series), _finite(y_series)
@@ -188,7 +193,7 @@ class MedianGreater(InsightType):
 
     def test(self, batch: SharedPermutations, x: np.ndarray, y: np.ndarray) -> TestResult:
         x, y = _finite(x), _finite(y)
-        observed = self.observed_statistic(x, y)
+        observed = self.side_statistic(x) - self.side_statistic(y)
         pooled = np.concatenate([x, y])
         # The median is order-insensitive, so the (sorted) complement of the
         # X side stands in for the dropped y_indices array.
@@ -203,11 +208,8 @@ class MedianGreater(InsightType):
         # pragmatic surrogate for the ablation engine.
         return welch_mean_greater(x, y)
 
-    def observed_statistic(self, x: np.ndarray, y: np.ndarray) -> float:
-        x, y = _finite(x), _finite(y)
-        if x.size == 0 or y.size == 0:
-            return float("nan")
-        return float(np.median(x) - np.median(y))
+    def side_statistic(self, values: np.ndarray) -> float:
+        return float(np.median(values)) if values.size else float("nan")
 
     def supports(self, x_series: np.ndarray, y_series: np.ndarray) -> bool:
         x, y = _finite(x_series), _finite(y_series)
@@ -216,9 +218,8 @@ class MedianGreater(InsightType):
         return bool(np.median(x) > np.median(y))
 
     def hypothesis_predicate_sql(self, x_column: str, y_column: str) -> str:
-        # Median is not a standard SQL aggregate; the engine understands it
-        # through avg on ranked halves is overkill — we keep the SQL textual
-        # form informative even if only the in-memory evaluator checks it.
+        # SQL has no standard median aggregate, so this text is informative
+        # only: the support check runs in numpy (:meth:`supports`).
         return f"median({x_column}) > median({y_column})"
 
 

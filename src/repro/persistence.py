@@ -299,7 +299,8 @@ def save_checkpoint(
     version of the run's table.
 
     The write goes through a temporary file and an atomic rename so a
-    crash mid-checkpoint never leaves a truncated file behind.
+    crash mid-checkpoint never leaves a truncated file behind.  Compact
+    JSON, because ``indent`` selects json's much slower Python encoder.
     """
     if outcome is not None:
         stage = "generation"
@@ -327,7 +328,7 @@ def save_checkpoint(
         data["incremental"] = memo.to_dict()
     path = Path(path)
     scratch = path.with_name(path.name + ".tmp")
-    scratch.write_text(json.dumps(data, indent=1), encoding="utf-8")
+    scratch.write_text(json.dumps(data, separators=(",", ":")), encoding="utf-8")
     scratch.replace(path)
 
 

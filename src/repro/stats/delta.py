@@ -131,16 +131,14 @@ def split_families(
     this is the same boundary :func:`~repro.insights.significance
     .family_chunks` cuts at.
     """
-    families: list[tuple[PairKey, tuple[CandidateInsight, ...]]] = []
-    current: list[CandidateInsight] = []
+    families: list[tuple[PairKey, list[CandidateInsight]]] = []
     for candidate in candidates:
-        if current and candidate.pair_key != current[-1].pair_key:
-            families.append((current[-1].pair_key, tuple(current)))
-            current = []
-        current.append(candidate)
-    if current:
-        families.append((current[-1].pair_key, tuple(current)))
-    return families
+        key = candidate.pair_key
+        if families and key == families[-1][0]:
+            families[-1][1].append(candidate)
+        else:
+            families.append((key, [candidate]))
+    return [(key, tuple(family)) for key, family in families]
 
 
 def _matches(oriented: CandidateInsight, candidate: CandidateInsight) -> bool:

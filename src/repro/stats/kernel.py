@@ -20,11 +20,12 @@ one pass serves every test of a shared batch:
    moment sums of every test under every permutation at once; Y-side sums
    come from the pooled totals (``sum(Y) = total − sum(X)``) and are never
    gathered.
-4. Per-test statistics then fall out of cheap vectorized arithmetic via
-   each insight type's ``statistic_from_moments`` hook, sharing the exact
-   floating-point formulas with the per-test ``test`` methods
-   (:func:`~repro.stats.permutation.mean_stat_from_moments`,
-   :func:`~repro.stats.permutation.variance_stat_from_moments`).
+4. Each slice is finished in arrays: each insight type's
+   ``statistic_from_moments`` hook runs once on its tests' ``(T, P)``
+   sums, with the exact floating-point formulas of the per-test ``test``
+   methods (:func:`~repro.stats.permutation.mean_stat_from_moments`,
+   :func:`~repro.stats.permutation.variance_stat_from_moments`), and
+   :func:`~repro.stats.permutation.one_sided_p_values` counts every test.
 
 Insight types that declare ``moment_order == 0`` (e.g. the median-greater
 extension type) cannot be expressed as moment sums; the kernel transparently
@@ -46,8 +47,8 @@ from repro import obs
 from repro.stats.permutation import (
     SharedPermutations,
     TestResult,
-    _one_sided,
     center_pooled,
+    one_sided_p_values,
 )
 
 __all__ = [
@@ -164,11 +165,21 @@ def _execute_chunk(
         x_sums = rows @ mask_t  # (R, P): every test's X-side moment sums
     obs.counter("stats.kernel_batches").inc()
     obs.counter("stats.permutation_tests").inc(len(chunk))
-    for planned, offset in zip(chunk, offsets):
-        order = planned.itype.moment_order
-        sums = tuple(x_sums[offset + k] for k in range(order))
-        totals = tuple(float(rows[offset + k].sum()) for k in range(order))
-        permuted = planned.itype.statistic_from_moments(
-            sums, totals, batch.n_x, batch.n_y
+    totals = rows.sum(axis=1)  # (R,): every moment row's pooled total
+    # One statistic_from_moments call per insight type on (T, P) operands,
+    # the pooled totals broadcast as (T, 1) columns.
+    itypes = [planned.itype for planned in chunk]
+    first_rows = np.asarray(offsets)
+    permuted = np.empty((len(chunk), batch.n_permutations), dtype=np.float64)
+    for itype in dict.fromkeys(itypes):
+        positions = [i for i, other in enumerate(itypes) if other is itype]
+        rows_of = first_rows[positions]
+        order = range(itype.moment_order)
+        permuted[positions] = itype.statistic_from_moments(
+            tuple(x_sums[rows_of + k] for k in order),
+            tuple(totals[rows_of + k, None] for k in order),
+            batch.n_x, batch.n_y,
         )
-        out.append((planned.index, _one_sided(planned.observed, permuted)))
+    observed = np.array([planned.observed for planned in chunk])
+    p_values = one_sided_p_values(observed, permuted).tolist()
+    out.extend((t.index, TestResult(t.observed, p)) for t, p in zip(chunk, p_values))

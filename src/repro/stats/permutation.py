@@ -279,17 +279,26 @@ def _argsort_membership(uniforms: np.ndarray, n_x: int) -> np.ndarray:
     return member
 
 
-def _one_sided(observed: float, permuted: np.ndarray) -> TestResult:
-    if np.isnan(observed):
-        return TestResult(observed, 1.0)
+def one_sided_p_values(observed: np.ndarray, permuted: np.ndarray) -> np.ndarray:
+    """Add-one one-sided p-values of ``T`` tests at once.
+
+    ``observed`` is ``(T,)``, ``permuted`` the ``(T, P)`` permutation
+    statistics; a NaN observed statistic (an undefined test) gets p = 1.
+    """
     # The slack absorbs summation-order noise in exact ties (a permutation
     # that reproduces the observed split must count as extreme no matter
     # which kernel summed it).  It must scale with the statistic: measures
     # of magnitude 1e6 carry ulp noise far above any absolute epsilon.
-    slack = 1e-12 * max(1.0, abs(observed))
-    extreme = int(np.count_nonzero(permuted >= observed - slack))
-    p = (1.0 + extreme) / (1.0 + permuted.size)
-    return TestResult(observed, min(1.0, p))
+    slack = 1e-12 * np.maximum(1.0, np.abs(observed))
+    extreme = np.count_nonzero(permuted >= (observed - slack)[:, None], axis=1)
+    p = np.minimum(1.0, (1.0 + extreme) / (1.0 + permuted.shape[1]))
+    p[np.isnan(observed)] = 1.0
+    return p
+
+
+def _one_sided(observed: float, permuted: np.ndarray) -> TestResult:
+    p = one_sided_p_values(np.array([observed]), permuted.reshape(1, -1))
+    return TestResult(observed, float(p[0]))
 
 
 def permutation_mean_greater(

@@ -129,3 +129,65 @@ class TestMedianGreaterExtension:
         # n_y == 1 keeps many permutations identical to the observed split;
         # every one of those exact ties must count as extreme.
         assert extreme > 0
+
+
+def _parent_observed(code, x, y):
+    """The per-type observed statistics ``side_statistic`` replaced, verbatim."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    x, y = x[~np.isnan(x)], y[~np.isnan(y)]
+    if code == "V":
+        if x.size < 2 or y.size < 2:
+            return float("nan")
+        return float(np.var(x, ddof=1) - np.var(y, ddof=1))
+    if x.size == 0 or y.size == 0:
+        return float("nan")
+    if code == "M":
+        return float(np.mean(x) - np.mean(y))
+    return float(np.median(x) - np.median(y))
+
+
+def _side_cases():
+    rng = derive_rng(21, "side-statistic")
+    big = 1e8 + rng.normal(0, 1, 9)
+    return {
+        "singletons": (np.array([3.5]), np.array([1.25])),
+        "two-rows": (np.array([1.0, 4.0]), np.array([2.0, 2.5])),
+        "singleton-vs-two": (np.array([7.0]), np.array([1.0, 2.0])),
+        "constant": (np.full(5, 2.2), np.full(3, 2.2)),
+        "exact-tie": (np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 2.0])),
+        "near-1e8": (big[:5], big[5:]),
+        "1e8-vs-unit": (big, rng.normal(0, 1, 4)),
+        "random": (rng.normal(3, 2, 31), rng.exponential(2, 17)),
+        "with-nan": (np.array([1.0, np.nan, 5.0]), np.array([np.nan, 2.0, 2.5])),
+        "empty": (np.array([]), np.array([1.0, 2.0])),
+    }
+
+
+class TestSideStatistic:
+    """``side_statistic(X) - side_statistic(Y)`` is the observed statistic
+    each type computed itself before the hook existed, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_side_cases()))
+    @pytest.mark.parametrize("itype", [MEAN_GREATER, VARIANCE_GREATER, MEDIAN_GREATER])
+    def test_difference_matches_the_per_type_statistic(self, itype, case):
+        x, y = _side_cases()[case]
+        want = _parent_observed(itype.code, x, y)
+        for a, b, expected in ((x, y, want), (y, x, _parent_observed(itype.code, y, x))):
+            got = itype.observed_statistic(a, b)
+            assert type(got) is float
+            assert np.isnan(got) if np.isnan(expected) else got == expected
+            clean_a, clean_b = a[~np.isnan(a)], b[~np.isnan(b)]
+            direct = itype.side_statistic(clean_a) - itype.side_statistic(clean_b)
+            assert np.isnan(direct) if np.isnan(expected) else direct == expected
+        if not np.isnan(want):
+            # The runner orients by flipping the operands of one subtraction.
+            sx = itype.side_statistic(x[~np.isnan(x)])
+            sy = itype.side_statistic(y[~np.isnan(y)])
+            assert sy - sx == _parent_observed(itype.code, y, x)
+
+    def test_undefined_sides_are_nan(self):
+        assert np.isnan(MEAN_GREATER.side_statistic(np.array([])))
+        assert np.isnan(MEDIAN_GREATER.side_statistic(np.array([])))
+        assert np.isnan(VARIANCE_GREATER.side_statistic(np.array([4.0])))
+        assert VARIANCE_GREATER.side_statistic(np.array([1.0, 3.0])) == 2.0

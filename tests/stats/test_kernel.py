@@ -19,6 +19,7 @@ from repro.insights import (
 from repro.insights.significance import _BatchCache, run_attribute_chunk
 from repro.insights.types import (
     MEAN_GREATER,
+    InsightType,
     MEDIAN_GREATER,
     VARIANCE_GREATER,
     insight_type,
@@ -36,6 +37,7 @@ from repro.stats import (
     variance_stat_from_moments,
 )
 from repro.stats.kernel import MAX_STACK_ROWS
+from repro.stats.permutation import TestResult as PermResult, center_pooled
 
 
 @pytest.fixture
@@ -208,6 +210,116 @@ class TestRunBatchedTests:
         assert snap["counters"]["stats.permutation_tests"] == 1
 
 
+def _scalar_one_sided(observed, permuted):
+    """The scalar p-value formula the array finish replaced, kept verbatim."""
+    if np.isnan(observed):
+        return PermResult(observed, 1.0)
+    slack = 1e-12 * max(1.0, abs(observed))
+    extreme = int(np.count_nonzero(permuted >= observed - slack))
+    p = (1.0 + extreme) / (1.0 + permuted.size)
+    return PermResult(observed, min(1.0, p))
+
+
+def scalar_finish_reference(batch, tests):
+    """The per-test finish of every GEMM slice, as the kernel once did it.
+
+    Slices the planned tests exactly as ``run_batched_tests`` does and runs
+    the same moment-stack product, then finishes each test alone: one
+    ``statistic_from_moments`` call on its own rows, its totals as scalar
+    row sums and one scalar p-value count.
+    """
+    out, chunk, chunk_rows = {}, [], 0
+    mask_t = batch.membership_mask().T
+
+    def finish(chunk, n_rows):
+        rows = np.empty((n_rows, batch.n_x + batch.n_y))
+        offsets, cursor = [], 0
+        for planned in chunk:
+            offsets.append(cursor)
+            rows[cursor] = center_pooled(planned.pooled)
+            if planned.itype.moment_order >= 2:
+                np.multiply(rows[cursor], rows[cursor], out=rows[cursor + 1])
+            cursor += planned.itype.moment_order
+        x_sums = rows @ mask_t
+        for planned, offset in zip(chunk, offsets):
+            order = planned.itype.moment_order
+            permuted = planned.itype.statistic_from_moments(
+                tuple(x_sums[offset + k] for k in range(order)),
+                tuple(float(rows[offset + k].sum()) for k in range(order)),
+                batch.n_x,
+                batch.n_y,
+            )
+            out[planned.index] = _scalar_one_sided(planned.observed, permuted)
+
+    for planned in tests:
+        order = planned.itype.moment_order
+        if chunk and chunk_rows + order > MAX_STACK_ROWS:
+            finish(chunk, chunk_rows)
+            chunk, chunk_rows = [], 0
+        chunk.append(planned)
+        chunk_rows += order
+    if chunk:
+        finish(chunk, chunk_rows)
+    return out
+
+
+def _assert_bitwise_equal(got, want):
+    assert sorted(got) == sorted(want)
+    for slot, result in got.items():
+        expected = want[slot]
+        assert type(result.p_value) is float
+        assert result.p_value == expected.p_value, slot
+        same = result.statistic == expected.statistic or (
+            np.isnan(result.statistic) and np.isnan(expected.statistic)
+        )
+        assert same, slot
+
+
+class TestArrayFinish:
+    """The per-type array finish equals the scalar per-test finish, slot for
+    slot: same statistics, same p-values, same float types."""
+
+    def test_mixed_types_with_nan_observed(self, prng):
+        batch = SharedPermutations(12, 9, 120, prng)
+        plans = []
+        for i in range(12):
+            x, y = prng.normal(i % 3, 1 + i % 2, 12), prng.normal(0, 1, 9)
+            itype = (MEAN_GREATER, VARIANCE_GREATER)[i % 2]
+            plans.append(_plan(itype, batch, x, y, index=i))
+        # An undefined test: the finish must give it p = 1.
+        plans.append(KernelTest(12, VARIANCE_GREATER, plans[1].pooled, float("nan")))
+        got = dict(run_batched_tests(batch, plans))
+        assert got[12].p_value == 1.0 and np.isnan(got[12].statistic)
+        _assert_bitwise_equal(got, scalar_finish_reference(batch, plans))
+
+    def test_exact_ties_at_1e8_magnitude(self, prng):
+        """Constant and near-constant sides at 1e8: many permutations tie the
+        observed statistic exactly and the relative slack decides them."""
+        batch = SharedPermutations(6, 2, 200, prng)
+        plans = []
+        for i, itype in enumerate((MEAN_GREATER, VARIANCE_GREATER) * 3):
+            x = np.full(6, 1e8) + np.where(np.arange(6) < i, 1.0, 0.0)
+            y = np.full(2, 1e8 - i)
+            plans.append(_plan(itype, batch, x, y, index=i))
+        plans.append(_plan(MEAN_GREATER, batch, np.full(6, 1e8), np.full(2, 1e8), 6))
+        got = dict(run_batched_tests(batch, plans))
+        _assert_bitwise_equal(got, scalar_finish_reference(batch, plans))
+        assert got[6].p_value == 1.0  # every permutation ties a zero statistic
+
+    def test_slice_cut_at_max_stack_rows(self, prng):
+        """A V test that would straddle MAX_STACK_ROWS starts the next slice."""
+        batch = SharedPermutations(8, 7, 60, prng)
+        plans = []
+        for i in range(MAX_STACK_ROWS + 40):
+            x, y = prng.normal(1e8, 1, 8), prng.normal(1e8, 2, 7)
+            itype = VARIANCE_GREATER if i % 3 == 0 else MEAN_GREATER
+            plans.append(_plan(itype, batch, x, y, index=i))
+        ticks = []
+        got = dict(run_batched_tests(batch, plans, checkpoint=lambda: ticks.append(1)))
+        assert len(ticks) >= 2
+        _assert_bitwise_equal(got, scalar_finish_reference(batch, plans))
+
+
 @pytest.fixture
 def planted():
     rng = derive_rng(4242, "planted")
@@ -299,6 +411,20 @@ class TestKernelParityEndToEnd:
             CandidateInsight("m2", "g", "g2", "g0", "V"),
         ]
         _assert_matches_reference(planted, SignificanceConfig(), candidates)
+
+    def test_runner_plans_from_side_statistics_only(self, planted, monkeypatch):
+        """Orientation and the observed value come from cached side
+        statistics; the runner never calls ``observed_statistic``."""
+        def refuse(self, x, y):
+            raise AssertionError("observed_statistic called while planning")
+
+        monkeypatch.setattr(InsightType, "observed_statistic", refuse)
+        candidates = list(enumerate_candidates(planted, insight_types="MVD"))
+        oriented, results = run_attribute_chunk(
+            planted, "g", [c for c in candidates if c.attribute == "g"],
+            SignificanceConfig(),
+        )
+        assert len(results) == len(oriented) > 0
 
     def test_bh_adjusted_results_follow_the_raw_parity(self, planted):
         """The public runner only adds BH on top of the compared raw output."""

@@ -19,6 +19,7 @@ import pytest
 
 from repro import ReproConfig, Session, obs
 from repro.datasets import enedis_table
+from repro.insights import enumerate_candidates, run_significance_tests
 from repro.notebook.ipynb import to_ipynb_json
 
 #: sha256 of the UTF-8 ipynb JSON, per execution backend.
@@ -47,3 +48,32 @@ def test_default_notebook_digest_is_pinned(table, backend):
         text = to_ipynb_json(session.render(run))
     assert run.selected
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[backend]
+
+
+#: sha256 over every tested insight of ``run_significance_tests`` on the
+#: same table — key, statistic, raw p and BH-adjusted p as ``repr`` floats —
+#: for the paper's two types, and with the median extension type added.
+#: The notebook digests above only see the insights that reach the notebook.
+STATS_DIGESTS = {
+    "MV": "bb917c4e8f67f7d91e560138dd3966238ad47ae00ba374978fa7752abeba2fac",
+    "MVD": "1f4c3e0c21c0b1845f9f94236a81690c6d874ce4c18ca85663822fa6c096df9d",
+}
+
+
+def _stats_digest(tested) -> str:
+    digest = hashlib.sha256()
+    for t in tested:
+        line = (
+            f"{t.candidate.key!r} {t.statistic!r} {t.p_value!r} {t.p_adjusted!r}\n"
+        )
+        digest.update(line.encode("utf-8"))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("types", sorted(STATS_DIGESTS))
+def test_significance_output_digest_is_pinned(table, types):
+    tested = run_significance_tests(
+        table, enumerate_candidates(table, insight_types=list(types))
+    )
+    assert len(tested) > 100
+    assert _stats_digest(tested) == STATS_DIGESTS[types]
