@@ -247,9 +247,8 @@ class Session:
         The token is ``"<rows>-<digest>"`` over the table's decoded
         contents: two tables with identical rows share it regardless of how
         they were loaded, and :meth:`append` advances it in O(delta).
-        Pass it to :meth:`generate` as ``since=`` to run incrementally, or
-        to the serving layer's ``if_version`` guard for optimistic
-        concurrency.
+        The serving layer's ``if_version`` guard compares against it for
+        optimistic concurrency.
         """
         with self._state_lock:
             return self._version_locked()
@@ -283,8 +282,8 @@ class Session:
         * every patchable :class:`AggregateCache` entry — only the groups
           the block touched are recomputed (partition-granular
           invalidation; ``cache.groups_carried`` counts the rest);
-        * the last run's stats memo, so the next
-          ``generate(since=...)`` re-tests only the touched pair families.
+        * the last run's stats memo, so the next :meth:`generate`
+          re-tests only the touched pair families.
         """
         from repro.backend import incremental_backend_names
         from repro.relational.moments import MomentStore
@@ -338,12 +337,11 @@ class Session:
     def restore_memo(self, memo) -> None:
         """Adopt a persisted stats memo (:class:`repro.stats.delta.StatsMemo`).
 
-        The CLI's ``--since-checkpoint`` path uses this to seed a fresh
-        process with the previous run's memo; ``generate(since=memo.version)``
-        then runs the statistical stage incrementally.  The caller is
-        responsible for having verified that the memo's version is a row
-        prefix of the resident table (``content_token(table, memo.n_rows)``);
-        an unverifiable memo simply downgrades that run to a full pass.
+        The next :meth:`generate` uses it: the CLI's ``--since-checkpoint``
+        path seeds a fresh process with the previous run's memo this way.
+        The caller is responsible for having verified that the memo's
+        version is a row prefix of the resident table
+        (``content_token(table, memo.n_rows)``).
         """
         with self._state_lock:
             self._memo = memo
@@ -415,13 +413,14 @@ class Session:
         every request owns its spans); the session's own pair is used
         otherwise.
 
-        ``since`` is a version token from an earlier :meth:`generate` /
-        :meth:`append` on this session: when the session still holds the
-        stats memo of a run at that version, the statistical stage
-        re-tests only the pair families touched by the rows appended
-        since — and the notebook is byte-identical to a full cold run.
-        When it cannot (different version, configuration changed, offline
-        sampling), the run falls back to a full pass with a warning.
+        Every run starts from the stats memo the session holds (from its
+        last completed full-rung run, or :meth:`restore_memo`): the
+        statistical stage re-tests only the pair families touched by rows
+        appended since, none at an unchanged version, and the notebook is
+        byte-identical to a cold run.  When the memo cannot serve the run
+        (configuration changed, offline sampling over a changed version)
+        the stage logs a line and runs in full.  ``since`` is accepted and
+        ignored: the held memo decides.
         """
         from contextlib import nullcontext
 
@@ -444,18 +443,9 @@ class Session:
                 fleet_stale, self._fleet_stale = self._fleet_stale, False
             if fleet_stale and fleet is not None:
                 fleet.refresh()
-            incremental = None
-            if since is not None:
-                if memo is not None and memo.version == since:
-                    from repro.stats.delta import IncrementalRequest
+            from repro.stats.delta import IncrementalRequest
 
-                    incremental = IncrementalRequest(memo)
-                else:
-                    logger.warning(
-                        "no stats memo for version %s (have: %s); running the "
-                        "statistical stage in full",
-                        since, memo.version if memo is not None else "none",
-                    )
+            incremental = None if memo is None else IncrementalRequest(memo)
             ambient = use_fleet(fleet) if fleet is not None else nullcontext()
             with ambient:
                 run = resilient_generate(

@@ -315,10 +315,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         deadline_seconds=args.deadline,
     )
 
-    since, memo = None, None
-    if args.since_checkpoint:
-        memo = _load_since_memo(args, table, say)
-        since = memo.version if memo is not None else None
+    memo = _load_since_memo(args, table, say) if args.since_checkpoint else None
 
     with Session(table, config=config, table_name=table_name) as session:
         if memo is not None:
@@ -328,7 +325,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             resume=resume,
             faults=faults,
             progress=say,
-            since=since,
         )
 
         if not run.selected:

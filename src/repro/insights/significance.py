@@ -19,6 +19,7 @@ looking at the chart would postulate), then tests one-sided.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -271,6 +272,10 @@ def run_attribute_chunk(
         # lookup, the row gather, the NaN filter and the statistic.
         samples: dict[tuple[str, str], np.ndarray] = {}
         sides: dict[tuple[str, str, str], tuple[np.ndarray, float]] = {}
+        # One oriented pooled sample per (val_x, val_y, measure): the types
+        # that orient a pair alike share it, so the kernel centers it and
+        # stacks its moment rows once.
+        pooled: dict[tuple[str, str, str], np.ndarray] = {}
 
         def clean_sample(value: str, measure: str) -> np.ndarray:
             rows = row_index.get(column.code_of(value))
@@ -339,15 +344,23 @@ def run_attribute_chunk(
             if entry is None:
                 entry = (batch, [])
                 pending[id(batch)] = entry
-            entry[1].append(
-                KernelTest(slot, itype, np.concatenate([side_x, side_y]), statistic)
-            )
+            key = (final.val, final.val_other, final.measure)
+            joined = pooled.get(key)
+            if joined is None:
+                joined = pooled[key] = np.concatenate([side_x, side_y])
+            entry[1].append(KernelTest(slot, itype, joined, statistic))
         if batches.reused:
             obs.counter("stats.permutation_batches_reused").inc(batches.reused)
+        tally: Counter = Counter()
         for batch, planned in pending.values():
-            for slot, result in run_batched_tests(batch, planned, checkpoint, progress):
+            for slot, result in run_batched_tests(
+                batch, planned, checkpoint, progress, tally
+            ):
                 results[slot] = result
-        chunk_span.set(tested=len(results))
+        chunk_span.set(
+            tested=len(results), kernel_slices=tally["slices"],
+            kernel_tests=tally["tests"], kernel_rows=tally["rows"],
+        )
 
     return oriented, results
 

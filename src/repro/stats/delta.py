@@ -66,8 +66,8 @@ def incremental_config_token(config) -> str:
     """Fingerprint of everything that shapes raw per-family test results.
 
     The one config fingerprint of stored test results: it guards a memo
-    reused across appends (``--since-checkpoint``, ``Session.generate(
-    since=)``) and a memo resumed mid-stage (``stats-partial``).  The data
+    reused across appends (``--since-checkpoint``, a ``Session``'s held
+    memo) and a memo resumed mid-stage (``stats-partial``).  The data
     is guarded separately, by the memo's content version.  It deliberately
     excludes the row count (the whole point is reuse across appends), the
     backend (tests are row-level and backend-independent), and the worker

@@ -11,11 +11,12 @@ one pass serves every test of a shared batch:
    (:meth:`~repro.stats.permutation.SharedPermutations.membership_mask`,
    a single ``astype`` that keeps the C-contiguous ``(P, n)`` layout, so
    the product below reads exactly the operand it always has).
-2. The pooled value vectors of all pending tests — centered to zero mean
-   (:func:`~repro.stats.permutation.center_pooled`, which keeps the
-   shift-invariant statistics unchanged while making the one-pass variance
-   identity numerically stable) — and, for variance-type tests, their
-   element-wise squares, are stacked into one ``(R, n)`` moment matrix.
+2. The distinct pooled value vectors of all pending tests — each centered
+   to zero mean once (:func:`~repro.stats.permutation.center_pooled`, which
+   keeps the shift-invariant statistics unchanged while making the one-pass
+   variance identity numerically stable) — and, where a variance-type test
+   reads them, their element-wise squares, are stacked into one ``(R, n)``
+   moment matrix.  Tests on the same pooled array share its rows.
 3. A single BLAS-backed product ``moments @ mask.T`` yields the X-side
    moment sums of every test under every permutation at once; Y-side sums
    come from the pooled totals (``sum(Y) = total − sum(X)``) and are never
@@ -38,6 +39,7 @@ it against a per-candidate reference that calls each type's ``test``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -92,12 +94,17 @@ def run_batched_tests(
     tests: Sequence[KernelTest],
     checkpoint: Callable[[], None] | None = None,
     progress: Callable[[int], None] | None = None,
+    tally: Counter | None = None,
 ) -> list[tuple[int, TestResult]]:
     """Execute every planned test of one shared batch, batching moment types.
 
     Returns ``(index, result)`` pairs.  ``checkpoint`` (the resilient
     runtime's cooperative-cancellation hook) is called between GEMM slices;
-    ``progress`` receives the number of tests retired per slice.
+    ``progress`` receives the number of tests retired per slice.  Tests
+    that hold the *same* ``pooled`` array share its moment rows within a
+    slice (the M and V tests of one oriented pair and measure), so each
+    distinct sample is centered once.  ``tally``, when given, counts the
+    GEMM ``slices`` and the ``tests`` and moment ``rows`` they carried.
     """
     out: list[tuple[int, TestResult]] = []
     advance = progress or (lambda n: None)
@@ -117,22 +124,29 @@ def run_batched_tests(
 
     mask_t = batch.membership_mask().T  # (n, P), built once per batch
     chunk: list[KernelTest] = []
+    # id(pooled) -> moment rows that sample needs in the current slice.
+    depth: dict[int, int] = {}
     chunk_rows = 0
-    for planned in moment_tests:
-        order = planned.itype.moment_order
-        if chunk and chunk_rows + order > MAX_STACK_ROWS:
-            if checkpoint is not None:
-                checkpoint()
-            _execute_chunk(batch, mask_t, chunk, chunk_rows, out)
-            advance(len(chunk))
-            chunk, chunk_rows = [], 0
-        chunk.append(planned)
-        chunk_rows += order
-    if chunk:
+
+    def flush() -> None:
         if checkpoint is not None:
             checkpoint()
-        _execute_chunk(batch, mask_t, chunk, chunk_rows, out)
+        _execute_chunk(batch, mask_t, chunk, depth, out)
         advance(len(chunk))
+        if tally is not None:
+            tally.update(slices=1, tests=len(chunk), rows=chunk_rows)
+
+    for planned in moment_tests:
+        key, order = id(planned.pooled), planned.itype.moment_order
+        extra = max(0, order - depth.get(key, 0))
+        if chunk and chunk_rows + extra > MAX_STACK_ROWS:
+            flush()
+            chunk, depth, chunk_rows = [], {}, 0
+            extra = order
+        chunk.append(planned)
+        depth[key] = depth.get(key, 0) + extra
+        chunk_rows += extra
+    flush()
     return out
 
 
@@ -140,36 +154,38 @@ def _execute_chunk(
     batch: SharedPermutations,
     mask_t: np.ndarray,
     chunk: list[KernelTest],
-    n_rows: int,
+    depth: dict[int, int],
     out: list[tuple[int, TestResult]],
 ) -> None:
-    """One mask-GEMM slice: stack moment rows, multiply, finish the stats."""
+    """One mask-GEMM slice: stack moment rows, multiply, finish the stats.
+
+    ``depth`` maps each distinct pooled sample (by ``id``) to its moment
+    rows, in first-use order: a centered first-moment row, then its square
+    when a variance-type test needs it.
+    """
     total = batch.n_x + batch.n_y
-    rows = np.empty((n_rows, total), dtype=np.float64)
-    offsets: list[int] = []
+    rows = np.empty((sum(depth.values()), total), dtype=np.float64)
+    first_row: dict[int, int] = {}
     cursor = 0
     for planned in chunk:
-        offsets.append(cursor)
+        key = id(planned.pooled)
+        if key in first_row:
+            continue
+        first_row[key] = cursor
         # Same centering expression as the per-test ``test`` methods, so
         # both sum bitwise-identical moment rows (see center_pooled).
         rows[cursor] = center_pooled(planned.pooled)
-        if planned.itype.moment_order >= 2:
+        if depth[key] >= 2:
             np.multiply(rows[cursor], rows[cursor], out=rows[cursor + 1])
-        cursor += planned.itype.moment_order
-    with obs.span(
-        "stats.kernel",
-        tests=len(chunk),
-        rows=n_rows,
-        permutations=batch.n_permutations,
-    ):
-        x_sums = rows @ mask_t  # (R, P): every test's X-side moment sums
+        cursor += depth[key]
+    x_sums = rows @ mask_t  # (R, P): every sample's X-side moment sums
     obs.counter("stats.kernel_batches").inc()
     obs.counter("stats.permutation_tests").inc(len(chunk))
     totals = rows.sum(axis=1)  # (R,): every moment row's pooled total
     # One statistic_from_moments call per insight type on (T, P) operands,
     # the pooled totals broadcast as (T, 1) columns.
     itypes = [planned.itype for planned in chunk]
-    first_rows = np.asarray(offsets)
+    first_rows = np.asarray([first_row[id(planned.pooled)] for planned in chunk])
     permuted = np.empty((len(chunk), batch.n_permutations), dtype=np.float64)
     for itype in dict.fromkeys(itypes):
         positions = [i for i, other in enumerate(itypes) if other is itype]

@@ -1,9 +1,10 @@
-"""The versioned mutation API: ``Session.append`` + ``generate(since=)``.
+"""The versioned mutation API: ``Session.append`` + incremental ``generate``.
 
-The headline acceptance test for incremental recompute: after appending
-rows, an incremental run must render a notebook *byte-identical* to a
-cold session over the concatenated data — across backends and worker
-counts — while skipping untouched partitions.
+The headline acceptance test for incremental recompute: every run starts
+from the session's held stats memo, so after appending rows (or with no
+change at all) the run must render a notebook *byte-identical* to a cold
+session over the same data — across backends and worker counts — while
+re-testing only the touched pair families.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from repro import ReproConfig, Session, obs
 from repro.datasets import covid_table
 from repro.errors import ReproError
 from repro.notebook.ipynb import to_ipynb_json
+from repro.obs.metrics import MetricsRegistry
 from repro.relational import write_csv
+from repro.relational.moments import touched_labels
 from repro.relational.table import content_token
+from repro.runtime.faults import FaultInjector, FaultSpec
 
 
 @pytest.fixture(autouse=True)
@@ -125,7 +129,7 @@ class TestAppendParity:
             cold = notebook_bytes(session, session.generate())
         assert warm == cold
 
-    def test_unknown_since_token_falls_back_to_full_run(self):
+    def test_since_token_is_ignored_and_the_held_memo_decides(self):
         config = quick_config()
         with Session(table_prefix(BASE_ROWS), config=config) as session:
             session.generate()
@@ -134,7 +138,7 @@ class TestAppendParity:
                 session, session.generate(since="999-notaversion")
             )
             counters = session.metrics.snapshot()["counters"]
-            assert counters.get("stats.partitions_skipped", 0) == 0
+            assert counters.get("stats.partitions_skipped", 0) > 0
         with Session(FULL, config=config) as session:
             cold = notebook_bytes(session, session.generate())
         assert warm == cold
@@ -148,6 +152,89 @@ class TestAppendParity:
             session.generate(since=since)
             counters = session.metrics.snapshot()["counters"]
             assert counters.get("parallel.fleet_refreshes", 0) >= 1
+
+
+def counted_run(session, **kwargs):
+    """One ``generate`` with its own registry: (run, counters)."""
+    metrics = MetricsRegistry()
+    run = session.generate(metrics=metrics, **kwargs)
+    return run, metrics.snapshot()["counters"]
+
+
+def family_count(memo):
+    return sum(len(records) for records in memo.families.values())
+
+
+class TestHeldMemo:
+    """Every run starts from the held memo; no ``since=`` is needed."""
+
+    @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unchanged_session_retests_nothing(self, backend, workers):
+        config = quick_config(backend, workers)
+        with Session(table_prefix(BASE_ROWS), config=config) as session:
+            first_run = session.generate()
+            first = notebook_bytes(session, first_run)
+            second_run, counters = counted_run(session)
+            second = notebook_bytes(session, second_run)
+        with Session(table_prefix(BASE_ROWS), config=config) as session:
+            fresh = notebook_bytes(session, session.generate())
+        assert counters.get("stats.partitions_retested", 0) == 0
+        assert counters["stats.partitions_skipped"] == family_count(
+            first_run.stats_memo
+        ) > 0
+        assert first == second == fresh
+
+    def test_append_retests_only_the_touched_families(self):
+        config = quick_config()
+        with Session(table_prefix(BASE_ROWS), config=config) as session:
+            before = session.generate().stats_memo
+            session.append(block(BASE_ROWS, 240))
+            warm_run, counters = counted_run(session)
+            warm = notebook_bytes(session, warm_run)
+        with Session(FULL, config=config) as session:
+            cold = notebook_bytes(session, session.generate())
+        assert warm == cold
+        # A family is re-tested when a touched value is one of its pair,
+        # or when the base run held no equal family for it.
+        held = {
+            (attribute, record.pair_key): record.candidates
+            for attribute, records in before.families.items()
+            for record in records
+        }
+        touched = {
+            name: touched_labels(FULL, name, BASE_ROWS)
+            for name in FULL.schema.categorical_names
+        }
+        expected = sum(
+            1
+            for attribute, records in warm_run.stats_memo.families.items()
+            for record in records
+            if record.pair_key[1] & touched[attribute]
+            or held.get((attribute, record.pair_key)) != record.candidates
+        )
+        assert 0 < counters["stats.partitions_retested"] == expected
+        assert counters["stats.partitions_skipped"] == (
+            family_count(warm_run.stats_memo) - expected
+        ) > 0
+
+    @pytest.mark.parametrize("kills, rung", [(1, "reduced"), (2, "parametric")])
+    def test_degraded_run_leaves_the_held_memo_unchanged(self, kills, rung):
+        config = quick_config()
+        with Session(table_prefix(BASE_ROWS), config=config) as session:
+            session.generate()
+            held = session._memo
+            degraded = session.generate(
+                faults=FaultInjector([FaultSpec("stats", "kill", times=kills)])
+            )
+            assert degraded.report.stages[0].rung == rung
+            assert session._memo is held
+            after_run, counters = counted_run(session)
+            after = notebook_bytes(session, after_run)
+        with Session(table_prefix(BASE_ROWS), config=config) as session:
+            cold = notebook_bytes(session, session.generate())
+        assert counters.get("stats.partitions_retested", 0) == 0
+        assert after == cold
 
 
 class TestFromCsv:

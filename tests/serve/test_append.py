@@ -8,6 +8,9 @@ import urllib.request
 
 import pytest
 
+from repro import Session
+from repro.notebook.ipynb import to_ipynb_json
+
 from tests.serve.conftest import http_request
 
 ROWS = [
@@ -160,3 +163,50 @@ class TestAppendDuringJob:
         assert code == 202
         done = wait_done(base, body["job"])
         assert done["dataset_version"] == appended["version"]
+
+
+def job_counters(base, job):
+    code, trace = http_request(f"{base}/jobs/{job}/trace")
+    assert code == 200
+    return trace["otherData"]["metrics"]["counters"]
+
+
+def generate_and_wait(base):
+    code, body = http_request(f"{base}/generate", "POST", {"dataset": "covid"})
+    assert code == 202, body
+    job = body["job"]
+    assert wait_done(base, job)["status"] == "completed"
+    return job
+
+
+class TestIncrementalJobs:
+    """Jobs run from the dataset session's held stats memo."""
+
+    def test_second_job_at_one_version_retests_nothing(self, server):
+        base = server.url
+        first = generate_and_wait(base)
+        second = generate_and_wait(base)
+        assert job_counters(base, first).get("stats.partitions_skipped", 0) == 0
+        counters = job_counters(base, second)
+        assert counters.get("stats.partitions_retested", 0) == 0
+        assert counters["stats.partitions_skipped"] > 0
+        _, one = http_request(f"{base}/jobs/{first}/result")
+        _, two = http_request(f"{base}/jobs/{second}/result")
+        assert one == two
+
+    def test_job_after_append_equals_a_cold_replay(self, server, serve_csv,
+                                                   fast_config):
+        base = server.url
+        generate_and_wait(base)
+        code, _ = http_request(f"{base}/datasets/covid/rows", "POST", {"rows": ROWS})
+        assert code == 200
+        job = generate_and_wait(base)
+        counters = job_counters(base, job)
+        assert counters["stats.partitions_skipped"] > 0
+        assert counters["stats.partitions_retested"] > 0
+        _, served = http_request(f"{base}/jobs/{job}/result")
+        columns = {name: [row[name] for row in ROWS] for name in ROWS[0]}
+        with Session(serve_csv, config=fast_config, table_name="covid") as session:
+            session.append(columns)
+            cold = json.loads(to_ipynb_json(session.render(session.generate())))
+        assert served == cold

@@ -6,6 +6,8 @@ samples naively and calls the insight type's own ``test`` method once per
 candidate, which is what the per-test kernel did before it was removed.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,40 @@ class TestRunBatchedTests:
         (got,) = run_batched_tests(batch, [_plan(MEAN_GREATER, batch, x, y)])
         # n_y == 1 makes every permutation keeping y fixed an exact tie.
         assert got[1].p_value == legacy.p_value
+
+    def test_shared_pooled_sample_shares_moment_rows(self, prng):
+        """M and V tests on one pooled array stack two rows, not three, and
+        give the results they give on separate copies."""
+        batch = SharedPermutations(20, 25, 120, prng)
+        x, y = prng.normal(1, 3, 20), prng.normal(0, 1, 25)
+        shared = np.concatenate([x, y])
+        plans = [
+            KernelTest(0, MEAN_GREATER, shared, MEAN_GREATER.observed_statistic(x, y)),
+            KernelTest(1, VARIANCE_GREATER, shared,
+                       VARIANCE_GREATER.observed_statistic(x, y)),
+        ]
+        tally = Counter()
+        got = dict(run_batched_tests(batch, plans, tally=tally))
+        assert tally == Counter(slices=1, tests=2, rows=2)
+        assert got[0].p_value == batch.mean_greater(x, y).p_value
+        assert got[1].p_value == batch.variance_greater(x, y).p_value
+
+    def test_chunk_span_counts_kernel_work(self, planted):
+        """The per-slice work is counted on the attribute span, which has
+        no per-slice children."""
+        candidates = [c for c in enumerate_candidates(planted, insight_types="MV")
+                      if c.attribute == "g"]
+        with obs.capture() as (tracer, metrics):
+            run_attribute_chunk(planted, "g", candidates, SignificanceConfig())
+            slices = metrics.snapshot()["counters"]["stats.kernel_batches"]
+        (span,) = tracer.find("stats.test_attribute")
+        assert tracer.children_of(span) == []
+        assert span.attrs["kernel_slices"] == slices
+        assert span.attrs["kernel_tests"] == len(candidates)
+        # Where M and V orient a pair and measure alike they share a row.
+        assert span.attrs["kernel_rows"] < sum(
+            insight_type(c.type_code).moment_order for c in candidates
+        )
 
     def test_kernel_counters(self, prng):
         batch = SharedPermutations(10, 10, 50, prng)
