@@ -54,6 +54,8 @@ class RangeGreater(InsightType):
     def parametric_test(self, x: np.ndarray, y: np.ndarray) -> TestResult:
         return welch_mean_greater(x, y)  # pragmatic surrogate
 
+    # The support stage decides stacks of series through supports_batch,
+    # which by default calls this scalar supports once per row.
     def supports(self, x_series: np.ndarray, y_series: np.ndarray) -> bool:
         x = x_series[~np.isnan(x_series)]
         y = y_series[~np.isnan(y_series)]

@@ -12,7 +12,8 @@ hypothesis predicate, a statistical test, and the measure adaptations).
   statistic is its difference between the two sides (Table 1);
 * :meth:`test` — the one-sided permutation test on raw data;
 * :meth:`supports` — the predicate ``p`` evaluated on the two aggregated
-  series of a comparison-query result (Definition 3.8);
+  series of a comparison-query result (Definition 3.8), and
+  :meth:`supports_batch` — the same predicate over stacks of such series;
 * :meth:`hypothesis_predicate_sql` — the SQL rendering of ``p`` used in
   hypothesis queries (Figure 3).
 
@@ -100,6 +101,18 @@ class InsightType(abc.ABC):
     def supports(self, x_series: np.ndarray, y_series: np.ndarray) -> bool:
         """Predicate ``p`` over the aggregated series of a comparison query."""
 
+    def supports_batch(self, x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+        """:meth:`supports` on each row pair of two ``(k, n)`` stacks.
+
+        Returns ``k`` booleans.  The default calls :meth:`supports` once
+        per row; an override must return the same answer for every row.
+        """
+        return np.fromiter(
+            (self.supports(x, y) for x, y in zip(x_rows, y_rows)),
+            dtype=bool,
+            count=len(x_rows),
+        )
+
     @abc.abstractmethod
     def hypothesis_predicate_sql(self, x_column: str, y_column: str) -> str:
         """SQL text of ``p`` for the HAVING clause of a hypothesis query."""
@@ -111,6 +124,26 @@ class InsightType(abc.ABC):
 def _finite(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     return values[~np.isnan(values)]
+
+
+def _compare_rows(itype, statistic, x_rows, y_rows, min_size: int) -> np.ndarray:
+    """``statistic(X) > statistic(Y)`` per row, as ``itype.supports`` decides it.
+
+    ``statistic`` reduces a C-contiguous stack along its rows; numpy then
+    sums each row pairwise exactly as the 1-D call does, so every row's
+    answer is bit-identical to the scalar predicate.  Rows holding a NaN
+    shrink to different lengths once NaNs are dropped, so they go through
+    the scalar predicate.
+    """
+    x_rows = np.ascontiguousarray(x_rows, dtype=np.float64)
+    y_rows = np.ascontiguousarray(y_rows, dtype=np.float64)
+    if x_rows.shape[1] < min_size:
+        return np.zeros(len(x_rows), dtype=bool)
+    out = statistic(x_rows) > statistic(y_rows)
+    ragged = np.isnan(x_rows).any(axis=1) | np.isnan(y_rows).any(axis=1)
+    for i in np.flatnonzero(ragged):
+        out[i] = itype.supports(x_rows[i], y_rows[i])
+    return out
 
 
 class MeanGreater(InsightType):
@@ -139,6 +172,9 @@ class MeanGreater(InsightType):
         if x.size == 0 or y.size == 0:
             return False
         return bool(np.mean(x) > np.mean(y))
+
+    def supports_batch(self, x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+        return _compare_rows(self, lambda rows: np.mean(rows, axis=1), x_rows, y_rows, 1)
 
     def hypothesis_predicate_sql(self, x_column: str, y_column: str) -> str:
         return f"avg({x_column}) > avg({y_column})"
@@ -172,6 +208,11 @@ class VarianceGreater(InsightType):
         if x.size < 2 or y.size < 2:
             return False
         return bool(np.var(x, ddof=1) > np.var(y, ddof=1))
+
+    def supports_batch(self, x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+        return _compare_rows(
+            self, lambda rows: np.var(rows, axis=1, ddof=1), x_rows, y_rows, 2
+        )
 
     def hypothesis_predicate_sql(self, x_column: str, y_column: str) -> str:
         return f"var({x_column}) > var({y_column})"

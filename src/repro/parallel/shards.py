@@ -20,13 +20,22 @@ worker, on the subprocess fleet otherwise.  Two shard shapes exist:
 
 * **support shards** — one grouping attribute's slice of the hypothesis
   evaluation.  A task evaluates every (pair-group × its grouping ×
-  aggregate) combination and returns compact records; the caller then
-  assembles them in one fixed order (pair groups in insertion order ×
-  valid groupings × aggregates), so the query list and evidence counts
-  are the same at every worker count.  In-process tasks share the
-  caller's backend and evaluator; pool workers re-create their own
-  (SQLite connections never cross process boundaries) and report their
-  aggregation-query and backend-statement counts back.
+  aggregate) combination, one ``evaluator.evaluate`` call per query, so
+  the evaluators' aggregation-query counts are those of a per-query
+  loop.  Each result is read from the dense block of its pair view
+  (:class:`~repro.relational.cube.SeriesBlock`).  The task queues every
+  member insight's check in a :class:`SupportStack` of one insight type
+  and one aligned length, and :func:`evidence_supported` decides each
+  stack at once through :meth:`InsightType.supports_batch
+  <repro.insights.types.InsightType.supports_batch>`, which gives the
+  scalar predicate's answer row for row.  The task returns compact
+  records; the caller then assembles them in one fixed order (pair
+  groups in insertion order × valid groupings × aggregates), so the
+  query list and evidence counts are the same at every worker count.
+  In-process tasks share the caller's backend and evaluator; pool
+  workers re-create their own (SQLite connections never cross process
+  boundaries) and report their aggregation-query and backend-statement
+  counts back.
 
 Workers' spans/counters are folded back into the main trace by the pool.
 """
@@ -34,6 +43,8 @@ Workers' spans/counters are folded back into the main trace by the pool.
 from __future__ import annotations
 
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.insights.insight import CandidateInsight, InsightEvidence, TestedInsight
@@ -56,6 +67,7 @@ from repro.stats.permutation import TestResult
 __all__ = [
     "CHUNK_SIZE",
     "ChunkSink",
+    "SupportStack",
     "evidence_supported",
     "run_stats_shards",
     "run_support_shards",
@@ -205,16 +217,41 @@ def run_stats_shards(
 # ---------------------------------------------------------------------------
 
 
-def evidence_supported(
-    result: ComparisonResult, evidence: InsightEvidence, lo: str
-) -> bool:
-    """Support check with orientation: ``x`` is the lo-side series."""
-    itype = insight_type(evidence.insight.candidate.type_code)
-    if result.n_groups == 0:
-        return False
-    if evidence.insight.candidate.val == lo:
-        return itype.supports(result.x, result.y)
-    return itype.supports(result.y, result.x)
+class SupportStack:
+    """Support checks decided together: one insight type, one aligned length.
+
+    Row ``i`` is the check of member ``members[i]`` of the pair group
+    behind evaluated query ``slots[i]``, oriented for that insight:
+    ``x_rows[i]`` is the series of its ``val`` and ``y_rows[i]`` that of
+    its ``val_other``.
+    """
+
+    __slots__ = ("type_code", "slots", "members", "x_rows", "y_rows")
+
+    def __init__(self, type_code: str) -> None:
+        self.type_code = type_code
+        self.slots: list[int] = []
+        self.members: list[int] = []
+        self.x_rows: list[np.ndarray] = []
+        self.y_rows: list[np.ndarray] = []
+
+    def add(self, slot: int, member: int, result: ComparisonResult, lo_first: bool) -> None:
+        """Queue a check on ``result``, whose ``x`` is the lo-side series."""
+        self.slots.append(slot)
+        self.members.append(member)
+        if lo_first:
+            self.x_rows.append(result.x)
+            self.y_rows.append(result.y)
+        else:
+            self.x_rows.append(result.y)
+            self.y_rows.append(result.x)
+
+
+def evidence_supported(stack: SupportStack) -> np.ndarray:
+    """Decide every check of ``stack`` at once; one boolean per row."""
+    return insight_type(stack.type_code).supports_batch(
+        np.array(stack.x_rows), np.array(stack.y_rows)
+    )
 
 
 class _SupportState:
@@ -280,7 +317,6 @@ def _support_task(ctx: WorkerContext, grouping: str):
     state: _SupportState = ctx.state
     queries_before = state.evaluator.queries_sent
     statements_before = state.backend.statements_executed
-    records = []
     # Plan this shard's full pair demand up front: one batched backend
     # call per grouping attribute (the multi-query optimization), instead
     # of one lazy materialization per (grouping, selection) pair inside
@@ -292,7 +328,12 @@ def _support_task(ctx: WorkerContext, grouping: str):
     ]
     state.evaluator.plan(shard_pairs)
     with obs.span("generation.evaluate_grouping", grouping=grouping) as sp:
-        evaluated = 0
+        # Evaluate every query first, then decide the support checks in
+        # stacks.  Only plain numbers and the series outlive a query, so
+        # holding a whole shard's checks adds little for the garbage
+        # collector to trace.
+        evaluated: list[tuple[int, str, int, int]] = []
+        stacks: dict[tuple[str, int], SupportStack] = {}
         for group_index, (key, members) in enumerate(state.groups):
             attribute, lo, hi, measure_name = key
             if grouping not in state.valid_groupings[attribute]:
@@ -302,17 +343,30 @@ def _support_task(ctx: WorkerContext, grouping: str):
                     ctx.checkpoint()
                 query = ComparisonQuery(grouping, attribute, lo, hi, measure_name, agg)
                 result = state.evaluator.evaluate(query)
-                evaluated += 1
-                supported = tuple(
-                    i for i, evidence in enumerate(members)
-                    if evidence_supported(result, evidence, lo)
-                )
-                if supported:
-                    records.append(
-                        (group_index, agg, result.tuples_aggregated,
-                         result.n_groups, supported)
-                    )
-        sp.set(evaluated=evaluated, supported=len(records))
+                slot = len(evaluated)
+                n_groups = result.n_groups
+                evaluated.append((group_index, agg, result.tuples_aggregated, n_groups))
+                if n_groups == 0:
+                    continue
+                for i, evidence in enumerate(members):
+                    candidate = evidence.insight.candidate
+                    stack = stacks.get((candidate.type_code, n_groups))
+                    if stack is None:
+                        stack = stacks[(candidate.type_code, n_groups)] = SupportStack(
+                            candidate.type_code
+                        )
+                    stack.add(slot, i, result, candidate.val == lo)
+        supported: dict[int, list[int]] = {}
+        for stack in stacks.values():
+            verdicts = evidence_supported(stack).tolist()
+            for slot, member, verdict in zip(stack.slots, stack.members, verdicts):
+                if verdict:
+                    supported.setdefault(slot, []).append(member)
+        records = [
+            (*evaluated[slot], tuple(sorted(indices)))
+            for slot, indices in sorted(supported.items())
+        ]
+        sp.set(evaluated=len(evaluated), supported=len(records))
     return (
         records,
         state.evaluator.queries_sent - queries_before,

@@ -106,7 +106,7 @@ def evaluate_comparison_cached(
 
 
 def _from_pair(pair: PairAggregate, query: ComparisonQuery) -> ComparisonResult:
-    groups, x, y = pair.aligned_series(
+    groups, x, y, theta = pair.comparison(
         query.group_by,
         query.selection_attribute,
         query.val,
@@ -114,19 +114,7 @@ def _from_pair(pair: PairAggregate, query: ComparisonQuery) -> ComparisonResult:
         query.measure,
         query.agg,
     )
-    theta = _selection_tuples(pair, query)
-    return ComparisonResult(query, tuple(groups), x, y, theta)
-
-
-def _selection_tuples(pair: PairAggregate, query: ComparisonQuery) -> int:
-    """Tuples matching ``B = val or B = val'`` from the count summaries."""
-    total = 0
-    for label in (query.val, query.val_other):
-        counts = pair.series(
-            query.group_by, query.selection_attribute, label, query.measure, "count"
-        )
-        total += int(sum(counts.values()))
-    return total
+    return ComparisonResult(query, groups, x, y, theta)
 
 
 def supported_types(

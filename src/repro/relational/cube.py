@@ -9,7 +9,8 @@ rolling the materialized aggregates up.  This module provides:
   an additive :class:`~repro.relational.aggregates.GroupedSummary` that can
   be rolled up to any coarser attribute subset;
 * :class:`PairAggregate` — the 2-attribute view used to evaluate comparison
-  and hypothesis queries without touching base data;
+  and hypothesis queries without touching base data, through one dense
+  :class:`SeriesBlock` per (grouping, selection, measure, agg);
 * :class:`PartialAggregateCache` — lookup structure mapping an attribute
   pair to a covering materialized aggregate (with memoized roll-ups).
 """
@@ -325,19 +326,52 @@ class MaterializedAggregate:
 #: Shared read-only result for series of an absent selection label.
 _EMPTY_SERIES: Mapping[str, float] = MappingProxyType({})
 
+_NO_GROUPS = np.empty(0, dtype=np.float64)
+
+
+class SeriesBlock:
+    """One ``(grouping, selection, measure, agg)`` slice of a pair aggregate,
+    laid out densely.
+
+    Attributes
+    ----------
+    labels:
+        The grouping attribute's labels in τ order (sorted strings; the
+        missing code -1 reads as ``""``).
+    values:
+        ``(selection codes, labels)`` matrix of the aggregate; a cell is
+        meaningful only where ``present`` is set.
+    present:
+        Whether the group exists under that selection value, i.e. whether
+        the SQL result would have the row (its value may still be NaN).
+        It depends on the orientation only, so its blocks share one mask.
+    counts:
+        Per selection code, the measure's non-NaN row count over all
+        groups: θ of a comparison query is the sum over its two values.
+    """
+
+    __slots__ = ("labels", "values", "present", "counts")
+
+    def __init__(self, labels, values, present, counts):
+        self.labels = labels
+        self.values = values
+        self.present = present
+        self.counts = counts
+
 
 class PairAggregate:
     """2-attribute aggregate view used to evaluate comparison queries.
 
     For a comparison query ``(A, B, val, val', M, agg)`` the evaluator needs,
     for each value ``a`` of ``A``, the aggregate of ``M`` over rows with
-    ``B = val`` (and likewise ``val'``).  :meth:`series` answers exactly
-    that from the materialized summaries, and :meth:`aligned_series` returns
-    the two series joined on the grouping attribute as the comparison
-    query's join does.
+    ``B = val`` (and likewise ``val'``).  Each ``(A, B, M, agg)`` is laid
+    out once as a :class:`SeriesBlock`; :meth:`series` reads one row of it
+    and :meth:`aligned_series` joins two rows on the grouping attribute as
+    the comparison query's join does.
     """
 
-    __slots__ = ("aggregate", "first", "second", "_series_cache")
+    __slots__ = ("aggregate", "first", "second", "_series_cache", "_blocks",
+                 "_layouts", "_codes")
 
     def __init__(self, aggregate: MaterializedAggregate, first: str, second: str):
         if set(aggregate.attributes) != {first, second}:
@@ -348,52 +382,102 @@ class PairAggregate:
         self.first = first
         self.second = second
         self._series_cache: dict[tuple, Mapping[str, float]] = {}
+        self._blocks: dict[tuple[str, str, str, str], SeriesBlock] = {}
+        self._layouts: dict[tuple[str, str], tuple] = {}
+        self._codes: dict[str, dict[str, int]] = {}
 
     def _axis(self, attribute: str) -> int:
         return self.aggregate.attributes.index(attribute)
 
+    def _code(self, select_attr: str, label: str) -> int | None:
+        """The selection label's dictionary code, or None when absent."""
+        codes = self._codes.get(select_attr)
+        if codes is None:
+            codes = {}
+            for code, name in enumerate(self.aggregate.categories[select_attr]):
+                codes.setdefault(name, code)
+            self._codes[select_attr] = codes
+        return codes.get(label if type(label) is str else str(label))
+
+    def _layout(self, group_attr: str, select_attr: str) -> tuple:
+        """Where each aggregate group lands in a block of this orientation.
+
+        Returns ``(labels, present, groups, cells, rows)``: the τ-ordered
+        labels, the presence mask every block of this orientation shares,
+        and for every group that a selection label can reach, its index in
+        the aggregate, its flat cell in the block and its row.  Groups
+        under the missing selection code are unreachable (no label
+        selects code -1).  The missing grouping code and a literal ``""``
+        category share the label ``""``, and so a cell; the later group in
+        aggregate order keeps it.
+        """
+        key = (group_attr, select_attr)
+        layout = self._layouts.get(key)
+        if layout is not None:
+            return layout
+        aggregate = self.aggregate
+        select_codes = aggregate.keys[self._axis(select_attr)]
+        group_codes = aggregate.keys[self._axis(group_attr)]
+        group_categories = aggregate.categories[group_attr]
+        unique_codes = np.unique(group_codes)
+        code_labels = [group_categories[c] if c >= 0 else "" for c in unique_codes]
+        labels = tuple(sorted(set(code_labels)))
+        column_of = {label: j for j, label in enumerate(labels)}
+        columns = np.array([column_of[label] for label in code_labels], dtype=np.int64)
+        groups = np.flatnonzero(select_codes >= 0)
+        rows = select_codes[groups]
+        cells = rows * len(labels) + columns[np.searchsorted(unique_codes, group_codes[groups])]
+        # Keep the last group of each shared cell.
+        _, last = np.unique(cells[::-1], return_index=True)
+        keep = cells.size - 1 - last
+        groups, rows, cells = groups[keep], rows[keep], cells[keep]
+        present = np.zeros((len(aggregate.categories[select_attr]), len(labels)), dtype=bool)
+        present.flat[cells] = True
+        layout = (labels, present, groups, cells, rows)
+        self._layouts[key] = layout
+        return layout
+
+    def block(self, group_attr: str, select_attr: str, measure: str, agg: str) -> SeriesBlock:
+        """The memoized dense layout of ``agg(measure)`` per (selection, group)."""
+        key = (group_attr, select_attr, measure, agg)
+        block = self._blocks.get(key)
+        if block is not None:
+            return block
+        summary = self.aggregate.summaries.get(measure)
+        if summary is None:
+            raise QueryError(f"measure {measure!r} not materialized in this aggregate")
+        labels, present, groups, cells, rows = self._layout(group_attr, select_attr)
+        values = np.full(present.shape, np.nan)
+        values.flat[cells] = summary.finalize(agg)[groups]
+        counts = np.bincount(rows, weights=summary.count[groups], minlength=len(present))
+        block = SeriesBlock(labels, values, present, counts)
+        self._blocks[key] = block
+        return block
+
     def series(self, group_attr: str, select_attr: str, label: str, measure: str, agg: str) -> Mapping[str, float]:
         """Per-``group_attr``-value aggregate of ``measure`` where ``select_attr = label``.
 
-        Returns a mapping group label -> aggregate value; groups with no
-        matching rows are absent (they would not appear in the SQL result).
-        Memoized per view: hypothesis evaluation and rendering repeatedly
-        finalize the same (label, measure, agg) series.  The mapping is a
-        read-only :class:`types.MappingProxyType` — the view (and thus the
-        memo) is shared across pipeline stages through the cross-stage
-        aggregate cache, so a mutation would corrupt every later consumer;
-        the proxy makes the attempt raise instead.
+        Returns a mapping group label -> aggregate value (in τ order);
+        groups with no matching rows are absent (they would not appear in
+        the SQL result).  Memoized per view.  The mapping is a read-only
+        :class:`types.MappingProxyType` — the view (and thus the memo) is
+        shared across pipeline stages through the cross-stage aggregate
+        cache, so a mutation would corrupt every later consumer; the proxy
+        makes the attempt raise instead.
         """
         memo_key = (group_attr, select_attr, label, measure, agg)
         cached = self._series_cache.get(memo_key)
         if cached is not None:
             return cached
-        select_axis = self._axis(select_attr)
-        group_axis = self._axis(group_attr)
-        categories = self.aggregate.categories[select_attr]
-        try:
-            code = categories.index(str(label))
-        except ValueError:
+        row = self._code(select_attr, label)
+        if row is None:
             return _EMPTY_SERIES
-        mask = self.aggregate.keys[select_axis] == code
-        group_codes = self.aggregate.keys[group_axis][mask]
-        summary = self.aggregate.summaries.get(measure)
-        if summary is None:
-            raise QueryError(f"measure {measure!r} not materialized in this aggregate")
-        selected = GroupedSummary(
-            summary.count[mask],
-            summary.total[mask],
-            summary.total_sq[mask],
-            summary.minimum[mask],
-            summary.maximum[mask],
-        )
-        values = selected.finalize(agg)
-        group_categories = self.aggregate.categories[group_attr]
-        out: dict[str, float] = {}
-        for gcode, value in zip(group_codes, values):
-            label_g = group_categories[gcode] if gcode >= 0 else ""
-            out[label_g] = float(value)
-        frozen = MappingProxyType(out)
+        block = self.block(group_attr, select_attr, measure, agg)
+        columns = block.present[row].nonzero()[0]
+        frozen = MappingProxyType({
+            block.labels[j]: value
+            for j, value in zip(columns.tolist(), block.values[row, columns].tolist())
+        })
         self._series_cache[memo_key] = frozen
         return frozen
 
@@ -406,13 +490,29 @@ class PairAggregate:
         only groups present under *both* selections appear; groups are
         returned sorted (the τ operator).
         """
-        left = self.series(group_attr, select_attr, label_a, measure, agg)
-        right = self.series(group_attr, select_attr, label_b, measure, agg)
-        common = sorted(set(left) & set(right))
+        groups, x, y, _ = self.comparison(group_attr, select_attr, label_a, label_b, measure, agg)
+        return list(groups), x, y
+
+    def comparison(
+        self, group_attr: str, select_attr: str, label_a: str, label_b: str, measure: str, agg: str
+    ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, int]:
+        """:meth:`aligned_series` plus θ, the rows with a non-NaN ``measure``
+        under either label, all read from one block."""
+        row_a = self._code(select_attr, label_a)
+        row_b = self._code(select_attr, label_b)
+        if row_a is None and row_b is None:
+            return (), _NO_GROUPS.copy(), _NO_GROUPS.copy(), 0
+        block = self.block(group_attr, select_attr, measure, agg)
+        if row_a is None or row_b is None:
+            row = row_b if row_a is None else row_a
+            return (), _NO_GROUPS.copy(), _NO_GROUPS.copy(), int(block.counts[row])
+        present, values, labels = block.present, block.values, block.labels
+        columns = (present[row_a] & present[row_b]).nonzero()[0]
         return (
-            common,
-            np.array([left[g] for g in common], dtype=np.float64),
-            np.array([right[g] for g in common], dtype=np.float64),
+            tuple([labels[j] for j in columns.tolist()]),
+            values[row_a][columns],
+            values[row_b][columns],
+            int(block.counts[row_a]) + int(block.counts[row_b]),
         )
 
 
@@ -428,6 +528,8 @@ class PartialAggregateCache:
     def __init__(self) -> None:
         self._materialized: list[MaterializedAggregate] = []
         self._pair_cache: dict[frozenset[str], PairAggregate] = {}
+        # Every attribute pair some aggregate covers.
+        self._covered: set[frozenset[str]] = set()
 
     @property
     def materialized(self) -> tuple[MaterializedAggregate, ...]:
@@ -435,13 +537,13 @@ class PartialAggregateCache:
 
     def add(self, aggregate: MaterializedAggregate) -> None:
         self._materialized.append(aggregate)
+        self._covered.update(map(frozenset, combinations(aggregate.attributes, 2)))
 
     def total_bytes(self) -> int:
         return sum(m.actual_bytes() for m in self._materialized)
 
     def covers(self, first: str, second: str) -> bool:
-        pair = {first, second}
-        return any(pair <= set(m.attributes) for m in self._materialized)
+        return frozenset((first, second)) in self._covered
 
     def pair(self, first: str, second: str) -> PairAggregate:
         """The 2-attribute view for ``{first, second}`` (memoized roll-up)."""
@@ -456,7 +558,8 @@ class PartialAggregateCache:
                     cover = m
         if cover is None:
             raise QueryError(f"no materialized aggregate covers pair ({first}, {second})")
-        rolled = cover.rollup_to(key)
-        view = PairAggregate(rolled, first, second)
+        # An exact cover rolls up to itself, so a view (and its blocks)
+        # lives as long as the aggregate in the table's aggregate cache.
+        view = cover.rollup_to(key).pair_view(first, second)
         self._pair_cache[key] = view
         return view
