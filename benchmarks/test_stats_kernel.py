@@ -342,7 +342,6 @@ def run_delta(quick: bool) -> dict:
     grown = table.append_block(block)
 
     from repro.relational.table import content_token
-    from repro.stats.delta import IncrementalRequest
 
     config = GenerationConfig(
         significance=SignificanceConfig(n_permutations=400 if quick else 1000)
@@ -354,9 +353,7 @@ def run_delta(quick: bool) -> dict:
     cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm = run_stats_stage(
-        grown, config, incremental=IncrementalRequest(prefix.memo)
-    )
+    warm = run_stats_stage(grown, config, memo=prefix.memo)
     warm_seconds = time.perf_counter() - start
 
     def output(stats):

@@ -443,9 +443,6 @@ class Session:
                 fleet_stale, self._fleet_stale = self._fleet_stale, False
             if fleet_stale and fleet is not None:
                 fleet.refresh()
-            from repro.stats.delta import IncrementalRequest
-
-            incremental = None if memo is None else IncrementalRequest(memo)
             ambient = use_fleet(fleet) if fleet is not None else nullcontext()
             with ambient:
                 run = resilient_generate(
@@ -469,7 +466,7 @@ class Session:
                     resume=resume,
                     progress=progress,
                     backend=run_backend,
-                    incremental=incremental,
+                    memo=memo,
                     version=version,
                 )
             if run.stats_memo is not None:

@@ -29,16 +29,16 @@ from repro.insights.insight import CandidateInsight, InsightEvidence, TestedInsi
 # stays importable from here because benchmarks/e2e/test_harness.py checks
 # its layer wrapper through this module.
 from repro.insights.significance import finalize_attribute, run_attribute_chunk  # noqa: F401
-from repro.parallel.shards import ChunkSink, run_stats_shards, run_support_shards
+from repro.parallel.shards import run_stats_shards, run_support_shards
 from repro.insights.transitivity import prune_transitive
 from repro.queries.comparison import ComparisonQuery
 from repro.queries.interestingness import conciseness, insight_term
 from repro.relational.functional_deps import detect_functional_dependencies, related_attributes
-from repro.relational.moments import touched_labels
 from repro.relational.table import Table
 from repro.runtime.deadline import Deadline
 from repro.stats.delta import (
-    IncrementalRequest,
+    FamilyRecord,
+    IncrementalPlan,
     StatsMemo,
     incremental_config_token,
     merge_attribute,
@@ -48,6 +48,10 @@ from repro.stats.delta import (
 from repro.stats.sampling import offline_test_sources
 
 logger = logging.getLogger(__name__)
+
+#: Receives pair-family records of the running stats stage as their raw
+#: results become known (see :func:`run_stats_stage`).
+FamilySink = Callable[[Sequence[FamilyRecord]], None]
 
 
 @dataclass(slots=True)
@@ -140,32 +144,32 @@ def run_stats_stage(
     progress: Callable[[str], None] | None = None,
     deadline: Deadline | None = None,
     backend: ExecutionBackend | None = None,
-    incremental: IncrementalRequest | None = None,
+    memo: StatsMemo | None = None,
     version: str | None = None,
-    on_chunk: ChunkSink | None = None,
+    on_families: FamilySink | None = None,
 ) -> StatsStageResult:
     """FD preprocessing, offline sampling, and the statistical tests.
 
     The expensive half of Algorithm 1 (lines 1-3).  ``deadline`` threads a
     cooperative cancellation checkpoint into the test loops; on expiry a
     :class:`~repro.errors.DeadlineExceeded` escapes with no partial state.
-    ``on_chunk(attribute, candidates, oriented, results)`` sees each tested
-    chunk's raw results as it completes — per shard on the worker pool,
-    per attribute in-process; the run controller records them as the
-    ``stats-partial`` checkpoint.  ``backend`` supplies the rows the offline
-    samples draw from; the tests themselves are row-level statistics run
-    as the shard tasks of :mod:`repro.parallel.shards`, in-process or on
-    the worker pool per ``config.parallel``.
+    ``backend`` supplies the rows the offline samples draw from; the tests
+    themselves are row-level statistics run as the shard tasks of
+    :mod:`repro.parallel.shards`, in-process or on the worker pool per
+    ``config.parallel``.
 
-    ``incremental`` carries a :class:`~repro.stats.delta.StatsMemo` from an
-    earlier run over ``table`` or a *prefix* of it (the caller has verified
-    the version match); only pair families touched by the appended rows —
-    or missing from the memo, or whose candidate set changed — are
-    re-tested, and the merged raw results are element-identical to a full
-    run's.  When the memo cannot soundly serve this configuration the stage
-    logs a warning and runs in full.  ``version`` is the table's
-    content-version token; when given (and the tests ran on the full
-    table) the result carries a fresh memo for the next append.
+    Only the pair families ``memo`` cannot serve are tested — a
+    :class:`~repro.stats.delta.StatsMemo` from an earlier run over
+    ``table`` or a verified *prefix* of it.  A cold run is the case where
+    it serves nothing (none given, or one :func:`~repro.stats.delta
+    .plan_incremental` refuses) and every family is tested; the merged
+    raw results are element-identical either way.  ``version`` is the
+    table's content-version token; when given (and the tests ran on the
+    full table) the result carries a fresh memo for the next run.
+    ``on_families(records)`` sees the records of every family the memo
+    served, in one call, then each tested chunk's as it completes — per
+    shard on the worker pool, per attribute in-process; the run
+    controller records them as the ``stats-partial`` checkpoint.
     """
     config = config or GenerationConfig()
     timings = PhaseTimings()
@@ -202,35 +206,16 @@ def run_stats_stage(
     # -- statistical tests ------------------------------------------------------
     logger.info("statistical tests: %d permutations, engine=%s",
                 config.significance.n_permutations, config.significance.engine)
-    delta_input = None
-    if incremental is not None:
-        memo = incremental.memo
-        if memo.n_rows > table.n_rows:
-            logger.warning(
-                "incremental stats disabled: memo covers %d rows but the "
-                "table holds only %d", memo.n_rows, table.n_rows,
-            )
-        else:
-            dirty_values = {
-                name: touched_labels(table, name, memo.n_rows)
-                for name in table.schema.categorical_names
-            }
-            delta_input = (memo, dirty_values)
-
     with obs.span(
         "stats.tests",
         engine=config.significance.engine,
         permutations=config.significance.n_permutations,
         workers=config.parallel.workers,
     ) as sp:
-        # A sampled run keeps no memo: it could serve only a rerun at this
-        # very version, which a resumed ``stats-partial`` memo covers.
         tested, records, plan = _run_tests(
-            test_source, config, deadline, on_chunk, delta=delta_input,
-            version=version,
-            collect_memo=version is not None and config.sampling is None,
+            test_source, table, config, deadline, memo, version, on_families
         )
-        if plan is not None:
+        if plan.served:
             counters["stats_partitions_skipped"] = plan.skipped
             counters["stats_partitions_retested"] = plan.retested
             obs.counter("stats.partitions_skipped").inc(plan.skipped)
@@ -239,7 +224,7 @@ def run_stats_stage(
                 f"{plan.retested} re-tested")
             logger.info("incremental stats: %d pair families reused, %d re-tested",
                         plan.skipped, plan.retested)
-        elif incremental is not None:
+        elif memo is not None:
             counters["stats_partitions_skipped"] = 0
         counters["insights_tested"] = len(tested)
         significant = [t for t in tested if t.is_significant(config.significance.threshold)]
@@ -261,12 +246,14 @@ def run_stats_stage(
     logger.info("%d/%d insights significant (%d after pruning) in %.3fs",
                 counters["insights_significant"], counters["insights_tested"],
                 counters["insights_after_pruning"], timings.statistical_tests)
-    memo = None
-    if records is not None and version is not None:
-        memo = StatsMemo(
+    # A sampled run keeps no memo: it could serve only a rerun at this
+    # very version, which a resumed ``stats-partial`` memo covers.
+    next_memo = None
+    if version is not None and config.sampling is None:
+        next_memo = StatsMemo(
             version, table.n_rows, incremental_config_token(config), records
         )
-    return StatsStageResult(significant, excluded_pairs, timings, counters, memo)
+    return StatsStageResult(significant, excluded_pairs, timings, counters, next_memo)
 
 
 def run_support_stage(
@@ -375,35 +362,30 @@ def generate_comparison_queries(
 
 def _run_tests(
     test_source: Table | dict[str, Table],
+    table: Table,
     config: GenerationConfig,
-    deadline: Deadline | None = None,
-    on_chunk: ChunkSink | None = None,
-    delta: tuple[StatsMemo, dict[str, frozenset]] | None = None,
-    version: str | None = None,
-    collect_memo: bool = False,
-) -> tuple[list[TestedInsight], dict[str, list] | None, object]:
+    deadline: Deadline | None,
+    memo: StatsMemo | None,
+    version: str | None,
+    on_families: FamilySink | None,
+) -> tuple[list[TestedInsight], dict[str, list[FamilyRecord]], IncrementalPlan]:
     """Run the per-attribute significance tests as shard tasks.
 
     ``test_source`` is either one table shared by every attribute (full
     data or a uniform random sample) or a mapping attribute -> table
-    (per-attribute balanced samples of the unbalanced strategy).
+    (per-attribute balanced samples of the unbalanced strategy); ``table``
+    is the full table at content version ``version``.
 
-    ``delta`` — ``(memo, dirty_values)`` from a verified prior run — routes
-    only the dirty pair families through the runners and splices the
-    memo's stored raw results in for the rest; ``version`` is the tested
-    table's content version; ``collect_memo`` asks for the per-family
-    records of this run (for the *next* memo).  Returns
-    ``(tested, records_or_None, plan_or_None)``.
-
-    The tests run as the shard tasks of
-    :func:`~repro.parallel.shards.run_stats_shards`: in-process at one
-    worker (one task per attribute), on the subprocess pool of
-    :mod:`repro.parallel` otherwise (with worker-side deadline checkpoints
-    and crash isolation); ``on_chunk`` sees every tested chunk either way.
-    Every worker count produces identical results — shards are cut at
-    pair-family boundaries and permutation batches derive their RNG from
-    chunk-independent keys.  The incremental path feeds its dirty work
-    through the same runner, so the parity holds there too.
+    One assembly path: the plan splits the enumeration into the pair
+    families ``memo`` serves and the dirty rest (all of it on a cold run),
+    the dirty work runs as the shard tasks of :func:`~repro.parallel
+    .shards.run_stats_shards` — in-process at one worker, on the
+    subprocess pool otherwise — ``merge_attribute`` splices both back
+    into enumeration order, and BH runs once per attribute.  Every worker
+    count produces identical results: shards are cut at pair-family
+    boundaries and permutation batches derive their RNG from
+    chunk-independent keys.  Returns ``(tested, records, plan)``, with
+    ``records`` per attribute for the next memo.
     """
     if isinstance(test_source, Table):
         tables = {name: test_source for name in test_source.schema.categorical_names}
@@ -425,35 +407,28 @@ def _run_tests(
         if candidates:
             work.append((attribute, sample, candidates))
 
-    plan = None
-    if delta is not None:
-        memo, dirty_values = delta
-        plan = plan_incremental(memo, work, dirty_values, config, version)
+    plan = plan_incremental(memo, work, table, config, version)
+    on_chunk = None
+    if on_families is not None:
+        clean = [r for entries in plan.order.values() for *_, r in entries if r is not None]
+        if clean:
+            on_families(clean)
 
-    raw: dict[str, tuple[list, list]] = {}
-    tested = run_stats_shards(
-        work if plan is None else plan.dirty_work,
-        config.significance, config.parallel, deadline,
-        on_chunk=on_chunk, raw_out=raw,
+        def on_chunk(attribute, candidates, oriented, results) -> None:
+            on_families(segment_families(candidates, oriented, results))
+
+    raw = run_stats_shards(
+        plan.dirty_work, config.significance, config.parallel, deadline,
+        on_chunk=on_chunk,
     )
-    if plan is not None:
-        tested = []
-        records: dict[str, list] = {}
-        for attribute, _, _ in work:
-            oriented, results, family_records = merge_attribute(
-                plan, attribute, raw.get(attribute, ((), ()))
-            )
-            tested.extend(finalize_attribute(oriented, results, config.significance))
-            records[attribute] = family_records
-        return tested, (records if collect_memo else None), plan
-
-    records = None
-    if collect_memo:
-        records = {
-            attribute: segment_families(candidates, *raw.get(attribute, ((), ())))
-            for attribute, _, candidates in work
-        }
-    return tested, records, None
+    tested: list[TestedInsight] = []
+    records: dict[str, list[FamilyRecord]] = {}
+    for attribute, _, _ in work:
+        oriented, results, records[attribute] = merge_attribute(
+            plan, attribute, raw.get(attribute, ((), ()))
+        )
+        tested.extend(finalize_attribute(oriented, results, config.significance))
+    return tested, records, plan
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ worker, on the subprocess fleet otherwise.  Two shard shapes exist:
   is one job, so one permutation-batch cache serves all its pair
   families; on a pool it is chunked at pair-family boundaries
   (:func:`~repro.insights.significance.family_chunks`) for balance.
-  Chunk results merge per attribute *in chunk order* before the BH
-  correction, and every permutation batch derives its RNG from the root
-  seed plus a chunk-independent key, so any worker count reproduces the
-  same results bit for bit.  Each completed shard is handed to an
-  ``on_chunk`` sink as it lands; the run controller records its pair
-  families in a :class:`~repro.stats.delta.StatsMemo` (the
-  ``stats-partial`` checkpoint), and a resumed run re-tests only the
-  families that memo lacks — shards themselves are never stored.
+  Chunk results merge per attribute *in chunk order* into the raw
+  sequences the stats stage corrects (BH) after splicing in the pair
+  families it reused, and every permutation batch derives its RNG from
+  the root seed plus a chunk-independent key, so any worker count
+  reproduces the same results bit for bit.  Each completed shard is
+  handed to an ``on_chunk`` sink as it lands; the stats stage passes its
+  pair families on to the run controller, which records them in a
+  :class:`~repro.stats.delta.StatsMemo` (the ``stats-partial``
+  checkpoint), and a resumed run re-tests only the families that memo
+  lacks — shards themselves are never stored.
 
 * **support shards** — one grouping attribute's slice of the hypothesis
   evaluation.  A task evaluates every (pair-group × its grouping ×
@@ -47,11 +49,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.insights.insight import CandidateInsight, InsightEvidence, TestedInsight
+from repro.insights.insight import CandidateInsight, InsightEvidence
 from repro.insights.significance import (
     SignificanceConfig,
     family_chunks,
-    finalize_attribute,
     run_attribute_chunk,
 )
 from repro.insights.types import insight_type
@@ -142,19 +143,17 @@ def run_stats_shards(
     parallel: ParallelConfig,
     deadline: Deadline | None = None,
     on_chunk: ChunkSink | None = None,
-    raw_out: dict[str, tuple[list, list]] | None = None,
-) -> list[TestedInsight]:
+) -> dict[str, tuple[list[CandidateInsight], list[TestResult]]]:
     """Test every attribute's candidates as shard tasks.
 
-    Returns the tested insights in one fixed order at every worker
-    count: attributes in ``work`` order, candidates in enumeration
-    order, BH applied per attribute family over the merged chunks.
+    Returns, per attribute of ``work``, the merged raw ``(oriented,
+    results)`` sequences in enumeration order — the same at every worker
+    count.  The caller applies the per-attribute BH correction
+    (:func:`~repro.insights.significance.finalize_attribute`) once it
+    has spliced in the results it reused.
 
     ``on_chunk`` fires in the parent as each shard completes (in
-    completion order).  When ``raw_out`` is given it receives, per
-    attribute, the merged raw ``(oriented, results)`` sequences *before*
-    the BH correction — the incremental stats stage memoizes these per
-    pair family.
+    completion order).
     """
     jobs = _stats_jobs(work, parallel.workers)
     tables = {attribute: sample for attribute, sample, _ in work}
@@ -203,13 +202,7 @@ def run_stats_shards(
     for (attribute, _), (oriented, results) in zip(jobs, outputs):
         merged[attribute][0].extend(oriented)
         merged[attribute][1].extend(results)
-    if raw_out is not None:
-        raw_out.update(merged)
-    tested: list[TestedInsight] = []
-    for attribute, _, _ in work:
-        oriented, results = merged[attribute]
-        tested.extend(finalize_attribute(oriented, results, config))
-    return tested
+    return merged
 
 
 # ---------------------------------------------------------------------------

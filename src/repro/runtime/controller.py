@@ -67,12 +67,7 @@ from repro.runtime.report import (
     RunReport,
     StageReport,
 )
-from repro.stats.delta import (
-    IncrementalRequest,
-    StatsMemo,
-    incremental_config_token,
-    segment_families,
-)
+from repro.stats.delta import StatsMemo, incremental_config_token
 from repro.stats.permutation import reduced_permutations
 from repro.tap.baseline import solve_baseline_lazy
 from repro.tap.exact import ExactConfig, solve_exact
@@ -219,9 +214,9 @@ def _stats_ladder(
     policy: RuntimePolicy,
     progress: Callable[[str], None] | None,
     backend: ExecutionBackend | None = None,
-    incremental=None,
+    memo: StatsMemo | None = None,
     version: str | None = None,
-    on_chunk=None,
+    on_families=None,
 ) -> list[_Rung]:
     base_permutations = config.significance.n_permutations
     cut = reduced_permutations(base_permutations, policy.permutation_cut_factor)
@@ -246,14 +241,14 @@ def _stats_ladder(
         max_pairs_per_attribute=pair_cap,
     )
     # Only the configured rung records mid-stage checkpoints or consumes
-    # the incremental memo: the degraded rungs change the test
-    # configuration, which would invalidate the memo's config token anyway.
+    # the memo: the degraded rungs change the test configuration, which
+    # would invalidate the memo's config token anyway.
     return [
         _Rung(
             "full",
             lambda d, n: run_stats_stage(table, config, progress, d, backend=backend,
-                                         incremental=incremental, version=version,
-                                         on_chunk=on_chunk),
+                                         memo=memo, version=version,
+                                         on_families=on_families),
         ),
         _Rung(
             "reduced",
@@ -397,14 +392,13 @@ def _tap_ladder(
 
 
 def _partial_recorder(path, memo: StatsMemo):
-    """An ``on_chunk`` sink: add the chunk's pair families to ``memo`` and
+    """An ``on_families`` sink: add the pair-family records to ``memo`` and
     rewrite the ``stats-partial`` checkpoint at ``path``."""
     from repro import persistence
 
-    def record(attribute, candidates, oriented, results) -> None:
-        memo.families.setdefault(attribute, []).extend(
-            segment_families(candidates, oriented, results)
-        )
+    def record(records) -> None:
+        for family in records:
+            memo.families.setdefault(family.pair_key[0], []).append(family)
         persistence.save_checkpoint(path, memo=memo, version=memo.version)
 
     return record
@@ -431,7 +425,7 @@ def resilient_generate(
     resume=None,
     progress: Callable[[str], None] | None = None,
     backend: ExecutionBackend | None = None,
-    incremental=None,
+    memo: StatsMemo | None = None,
     version: str | None = None,
 ) -> NotebookRun:
     """End-to-end generation that *always* returns a valid NotebookRun.
@@ -447,16 +441,17 @@ def resilient_generate(
     facade) lend a long-lived engine; the controller then reports only the
     statements this run executed and leaves closing to the owner.
 
-    ``incremental`` is an :class:`~repro.stats.delta.IncrementalRequest`
-    from a verified prior run over a prefix of ``table``: the stats
-    stage's configured rung then re-tests only the pair families touched
-    by the appended rows.  ``version`` stamps the table's content-version
-    token onto the run so the stats stage can memoize its raw results for
-    the *next* append (``run.stats_memo``); it is computed from ``table``
-    when a checkpoint is written or resumed without one.  A ``resume``
-    whose table version differs raises :class:`~repro.errors.ReproError`;
-    a ``stats-partial`` resume becomes an incremental request at the same
-    version, so only the pair families its memo lacks are tested.
+    ``memo`` is a :class:`~repro.stats.delta.StatsMemo` from a verified
+    prior run over ``table`` or a prefix of it, or None: the stats stage's
+    configured rung tests only the pair families the memo cannot serve
+    (all of them without one).  ``version`` stamps the table's
+    content-version token onto the run so the stats stage can memoize its
+    raw results for the *next* run (``run.stats_memo``); it is computed
+    from ``table`` when a checkpoint is written or resumed without one.  A
+    ``resume`` whose table version differs raises
+    :class:`~repro.errors.ReproError`; a ``stats-partial`` resume supplies
+    its memo at the same version, so only the pair families it lacks are
+    tested.
     """
     if solver not in ("heuristic", "exact"):
         raise ReproError(f"unknown solver {solver!r}")
@@ -507,7 +502,6 @@ def resilient_generate(
     ) as run_span:
         stats: StatsStageResult | None = None
         outcome: GenerationOutcome | None = None
-        resumed_memo: StatsMemo | None = None
         if resume is not None:
             report.resumed_from = str(resume.source) if resume.source else "checkpoint"
             if resume.report is not None:
@@ -524,11 +518,10 @@ def resilient_generate(
                 _resumed_stage(report, STAGE_STATS)
                 logger.info("resumed past the stats stage from checkpoint")
             elif resume.stage == "stats-partial" and resume.memo is not None:
-                resumed_memo = resume.memo
-                incremental = IncrementalRequest(resumed_memo)
+                memo = resume.memo
                 logger.info(
                     "resuming mid-stats: %d completed pair family(ies) in checkpoint",
-                    sum(len(f) for f in resumed_memo.families.values()),
+                    sum(len(f) for f in memo.families.values()),
                 )
 
         if outcome is None and table is None:
@@ -547,26 +540,22 @@ def resilient_generate(
         try:
             # -- stage: statistical tests -----------------------------------
             if outcome is None and stats is None:
-                # Checkpointed runs record every tested chunk's pair families
-                # in a memo at this table's version, written as the
-                # "stats-partial" checkpoint; a resumed run re-tests only the
-                # families it lacks.  A resumed memo under the same config
-                # token seeds the new one, so a second kill loses nothing.
-                on_chunk = None
+                # Checkpointed runs record the pair families the input memo
+                # served, then every tested chunk's, in a memo at this
+                # table's version, written as the "stats-partial"
+                # checkpoint; a resumed run re-tests only the families it
+                # lacks, so a kill at any point loses no reused family.
+                on_families = None
                 if checkpoint_path is not None:
-                    token = incremental_config_token(config)
-                    partial = StatsMemo(version, table.n_rows, token)
-                    if resumed_memo is not None and resumed_memo.token == token:
-                        partial.families = {
-                            attribute: list(records)
-                            for attribute, records in resumed_memo.families.items()
-                        }
-                    on_chunk = _partial_recorder(checkpoint_path, partial)
+                    partial = StatsMemo(
+                        version, table.n_rows, incremental_config_token(config)
+                    )
+                    on_families = _partial_recorder(checkpoint_path, partial)
                 stats = _run_ladder(
                     STAGE_STATS,
                     _stats_ladder(table, config, policy, progress, backend=backend,
-                                  incremental=incremental, version=version,
-                                  on_chunk=on_chunk),
+                                  memo=memo, version=version,
+                                  on_families=on_families),
                     deadline,
                     faults,
                     report,
@@ -609,11 +598,11 @@ def resilient_generate(
                     report.backend_statements += executed
                     # A resumed-stats run re-saves the resume file's memo so
                     # the superseding generation checkpoint never drops it.
-                    memo = stats.memo if stats is not None else None
-                    if memo is None and resume is not None and resume.stats is not None:
-                        memo = resume.memo
+                    kept_memo = stats.memo if stats is not None else None
+                    if kept_memo is None and resume is not None and resume.stats is not None:
+                        kept_memo = resume.memo
                     save_checkpoint(checkpoint_path, outcome=outcome, report=report,
-                                    memo=memo, version=version)
+                                    memo=kept_memo, version=version)
                     report.backend_statements -= executed
                     logger.info("checkpoint written after generation stage: %s",
                                 checkpoint_path)

@@ -1,21 +1,25 @@
-"""Delta-aware statistical testing: re-test only dirty pair families.
+"""Delta-aware statistical testing: the stats stage's one planning path.
 
 An appended row block only changes the test inputs of attribute *values*
 it contains: for any other value, the row set selected by
 ``attribute = value`` is untouched, and a permutation batch depends only
 on the two sample sizes (never on the table size), so the stored raw test
-result is *bit-identical* to what a cold re-run would produce.  This
-module turns that invariant into an incremental stats stage:
+result is *bit-identical* to what a cold re-run would produce.  The stats
+stage always runs through this module; a cold run is the case where no
+memo serves, so every pair family is dirty:
 
 * :class:`StatsMemo` — the raw (pre-BH) per-family test results of a
   completed stats stage, keyed by the table-version token they were
   computed against and an :func:`incremental_config_token` fingerprint;
-* :func:`plan_incremental` — given a memo and the new enumeration,
+* :func:`plan_incremental` — given the memo (or none) and the new
+  enumeration, decide whether the memo can serve this run at all and
   classify every pair family as *clean* (stored results reusable) or
-  *dirty* (contains a touched value, or its candidate list changed);
+  *dirty* (no usable memo, contains a touched value, or its candidate
+  list changed);
 * :func:`merge_attribute` — splice stored clean slices and freshly
-  re-tested dirty slices back into enumeration order, ready for the
-  per-attribute Benjamini–Hochberg correction.
+  tested dirty slices back into enumeration order, ready for the
+  per-attribute Benjamini–Hochberg correction, and return the records
+  of the next memo.
 
 Because the merged raw sequence is element-for-element identical to a
 cold run's, the corrected results — and every downstream artifact up to
@@ -26,8 +30,9 @@ The memo serializes to JSON (:meth:`StatsMemo.to_dict`) so the CLI
 checkpoint can carry it across processes.  One memo serves both reuses:
 ``--since-checkpoint`` over an appended table, and ``--resume`` of a run
 killed mid-stage, whose ``stats-partial`` checkpoint is the memo of the
-families completed so far at the table's own version (nothing is dirty,
-the missing families are re-tested).
+families known so far at the table's own version — the clean families
+the run started from plus every chunk tested since (nothing is dirty,
+the missing families are tested).
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ from typing import Mapping, Sequence
 
 from repro.errors import ReproError
 from repro.insights.insight import CandidateInsight
+from repro.relational.moments import touched_labels
+from repro.relational.table import Table
 from repro.stats.permutation import TestResult
 
 logger = logging.getLogger(__name__)
@@ -47,7 +54,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "FamilyRecord",
     "IncrementalPlan",
-    "IncrementalRequest",
     "StatsMemo",
     "incremental_config_token",
     "merge_attribute",
@@ -269,53 +275,42 @@ class StatsMemo:
         return cls(data["version"], int(data["n_rows"]), data["token"], families)
 
 
-@dataclass(frozen=True, slots=True)
-class IncrementalRequest:
-    """What a caller passes to run the stats stage incrementally.
-
-    The caller (the ``Session`` facade, the CLI's ``--since-checkpoint``,
-    or the run controller resuming a ``stats-partial`` checkpoint at the
-    same version) has already verified that the memo's ``version`` names the first
-    ``memo.n_rows`` rows of the current table; the stage derives the dirty
-    value set from the rows past that boundary.
-    """
-
-    memo: StatsMemo
-
-
 @dataclass(slots=True)
 class IncrementalPlan:
-    """The clean/dirty classification of one incremental stats run."""
+    """The clean/dirty classification of one stats run."""
 
     #: Per attribute, the new enumeration's families in order, each paired
     #: with its reusable record (clean) or ``None`` (dirty).
     order: dict[str, list[tuple[PairKey, tuple[CandidateInsight, ...], FamilyRecord | None]]]
-    #: The work list restricted to dirty candidates (same shape the full
-    #: stage executes — shard-able through the identical paths).
+    #: The work list restricted to dirty candidates — all of it when no
+    #: memo serves.
     dirty_work: list[tuple[str, object, list[CandidateInsight]]]
     skipped: int = 0
     retested: int = 0
+    #: Whether a memo served this run (``False``: every family is dirty).
+    served: bool = False
 
 
-def plan_incremental(
-    memo: StatsMemo,
-    work: Sequence[tuple[str, object, list[CandidateInsight]]],
-    dirty_values: Mapping[str, frozenset],
-    config,
-    version: str | None = None,
-) -> IncrementalPlan | None:
-    """Classify every family of the new enumeration as clean or dirty.
+def _serves(memo: StatsMemo | None, table: Table, config, version: str | None) -> bool:
+    """Can ``memo`` soundly serve a run over ``table`` under ``config``?
 
-    ``version`` is the content version of the table this run tests.
-    Returns ``None`` — caller falls back to a full run — when the memo
-    cannot soundly serve this configuration: a config-token mismatch, or
-    offline sampling over a table whose version differs from the memo's
-    (the sample re-draws over the grown table; at the same version it
-    draws the identical rows, so a resumed sampled run is served).
+    It cannot when it covers more rows than the table holds, when offline
+    sampling is on and the table's version differs from the memo's (the
+    sample re-draws over the grown table; at the same version it draws the
+    identical rows, so a resumed sampled run is served), or when its
+    config token differs.  Each refusal logs one warning.
     """
+    if memo is None:
+        return False
+    if memo.n_rows > table.n_rows:
+        logger.warning(
+            "incremental stats disabled: memo covers %d rows but the "
+            "table holds only %d", memo.n_rows, table.n_rows,
+        )
+        return False
     if config.sampling is not None and memo.version != version:
         logger.warning("incremental stats disabled: offline sampling re-draws rows")
-        return None
+        return False
     token = incremental_config_token(config)
     if memo.token != token:
         logger.warning(
@@ -323,15 +318,39 @@ def plan_incremental(
             "memo's %s (configuration changed since the checkpoint)",
             token, memo.token,
         )
-        return None
+        return False
+    return True
+
+
+def plan_incremental(
+    memo: StatsMemo | None,
+    work: Sequence[tuple[str, object, list[CandidateInsight]]],
+    table: Table,
+    config,
+    version: str | None = None,
+) -> IncrementalPlan:
+    """Classify every family of the new enumeration as clean or dirty.
+
+    ``table`` is the full table this run tests and ``version`` its content
+    version.  A usable ``memo`` was computed over ``table`` or a row
+    prefix of it (the caller has verified that): a family is clean when
+    the memo holds an equal family and none of its two values appears in
+    the rows past ``memo.n_rows``.  With no memo, or one that cannot serve
+    (see :func:`_serves`), every family is dirty and no appended rows are
+    read.
+    """
+    served = _serves(memo, table, config, version)
     order: dict[str, list] = {}
     dirty_work: list[tuple[str, object, list[CandidateInsight]]] = []
     skipped = retested = 0
     for attribute, sample, candidates in work:
-        stored = {
-            record.pair_key: record for record in memo.families.get(attribute, [])
-        }
-        dirty = frozenset(dirty_values.get(attribute, frozenset()))
+        stored: dict[PairKey, FamilyRecord] = {}
+        dirty: frozenset = frozenset()
+        if served:
+            stored = {
+                record.pair_key: record for record in memo.families.get(attribute, [])
+            }
+            dirty = touched_labels(table, attribute, memo.n_rows)
         entries: list = []
         dirty_candidates: list[CandidateInsight] = []
         for pair_key, family in split_families(candidates):
@@ -348,7 +367,7 @@ def plan_incremental(
         order[attribute] = entries
         if dirty_candidates:
             dirty_work.append((attribute, sample, dirty_candidates))
-    return IncrementalPlan(order, dirty_work, skipped, retested)
+    return IncrementalPlan(order, dirty_work, skipped, retested, served)
 
 
 def merge_attribute(
@@ -356,12 +375,12 @@ def merge_attribute(
     attribute: str,
     dirty_raw: tuple[Sequence[CandidateInsight], Sequence[TestResult]],
 ) -> tuple[list[CandidateInsight], list[TestResult], list[FamilyRecord]]:
-    """Splice clean and freshly re-tested families back into enumeration order.
+    """Splice clean and freshly tested families back into enumeration order.
 
     ``dirty_raw`` is the raw runner output over this attribute's dirty
     candidates (concatenated in enumeration order).  Returns the merged
     ``(oriented, results)`` — element-identical to a cold full run — plus
-    the attribute's new family records for the next memo.
+    the attribute's family records for the next memo.
     """
     entries = plan.order.get(attribute, [])
     dirty_candidates: list[CandidateInsight] = []

@@ -13,7 +13,6 @@ from repro.datasets import covid_table
 from repro.generation.config import GenerationConfig, SamplingSpec
 from repro.generation.generator import run_stats_stage
 from repro.relational.table import content_token
-from repro.stats.delta import IncrementalRequest
 
 import dataclasses
 
@@ -52,7 +51,7 @@ class TestIncrementalParity:
 
         warm = run_stats_stage(
             full, config,
-            incremental=IncrementalRequest(prefix.memo),
+            memo=prefix.memo,
             version=content_token(full),
         )
         cold = run_stats_stage(full, config, version=content_token(full))
@@ -67,14 +66,14 @@ class TestIncrementalParity:
         prefix = run_stats_stage(base, config, version=content_token(base))
         warm = run_stats_stage(
             full, config,
-            incremental=IncrementalRequest(prefix.memo),
+            memo=prefix.memo,
             version=content_token(full),
         )
         # The warm run's memo must be as good as a cold run's: replaying it
         # over the same table skips every family.
         assert warm.memo is not None and warm.memo.n_rows == full.n_rows
         replay = run_stats_stage(
-            full, config, incremental=IncrementalRequest(warm.memo)
+            full, config, memo=warm.memo
         )
         assert replay.counters["stats_partitions_retested"] == 0
         assert replay.counters["stats_partitions_skipped"] > 0
@@ -84,7 +83,7 @@ class TestIncrementalParity:
         base, _ = tables
         prefix = run_stats_stage(base, config, version=content_token(base))
         replay = run_stats_stage(
-            base, config, incremental=IncrementalRequest(prefix.memo)
+            base, config, memo=prefix.memo
         )
         assert replay.counters["stats_partitions_retested"] == 0
         assert_same_insights(replay.significant, prefix.significant)
@@ -111,7 +110,7 @@ class TestFallbacks:
             ),
         )
         warm = run_stats_stage(
-            full, changed, incremental=IncrementalRequest(prefix.memo)
+            full, changed, memo=prefix.memo
         )
         cold = run_stats_stage(full, changed)
         assert warm.counters["stats_partitions_skipped"] == 0
@@ -121,7 +120,7 @@ class TestFallbacks:
         base, full = tables
         grown = run_stats_stage(full, config, version=content_token(full))
         shrunk = run_stats_stage(
-            base, config, incremental=IncrementalRequest(grown.memo)
+            base, config, memo=grown.memo
         )
         cold = run_stats_stage(base, config)
         assert shrunk.counters["stats_partitions_skipped"] == 0

@@ -13,12 +13,7 @@ from repro.parallel import ParallelConfig, shards
 from repro.persistence import load_checkpoint
 from repro.relational.table import content_token
 from repro.runtime import resilient_generate
-from repro.stats.delta import (
-    IncrementalRequest,
-    StatsMemo,
-    incremental_config_token,
-    segment_families,
-)
+from repro.stats.delta import StatsMemo, incremental_config_token
 
 
 @pytest.fixture(autouse=True)
@@ -76,30 +71,29 @@ def test_unshared_batches_match_across_worker_counts(covid):
 
 
 def _recorder(covid, config):
-    """An ``on_chunk`` sink filling a memo at ``covid``'s version."""
+    """An ``on_families`` sink filling a memo at ``covid``'s version."""
     memo = StatsMemo(
         content_token(covid), covid.n_rows, incremental_config_token(config)
     )
 
-    def on_chunk(attribute, candidates, oriented, results):
-        memo.families.setdefault(attribute, []).extend(
-            segment_families(candidates, oriented, results)
-        )
+    def on_families(records):
+        for record in records:
+            memo.families.setdefault(record.pair_key[0], []).append(record)
 
-    return memo, on_chunk
+    return memo, on_families
 
 
 def test_completed_shards_are_skipped_on_rerun(covid):
     config = _config(workers=2)
-    memo, on_chunk = _recorder(covid, config)
-    first = run_stats_stage(covid, config, on_chunk=on_chunk)
+    memo, on_families = _recorder(covid, config)
+    first = run_stats_stage(covid, config, on_families=on_families)
     total = sum(len(records) for records in memo.families.values())
     assert total > 1
 
     # Second run with the recorded memo at the same version: every pair
     # family is served from it, nothing is re-tested, output is identical.
     second = run_stats_stage(
-        covid, config, incremental=IncrementalRequest(memo), version=memo.version
+        covid, config, memo=memo, version=memo.version
     )
     assert _stats_key(second) == _stats_key(first)
     assert second.counters["stats_partitions_skipped"] == total

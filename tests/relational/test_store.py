@@ -195,5 +195,6 @@ class TestStoreKindResolution:
         assert resolve_store_kind(ParallelConfig(workers=2, store="shm")) == "shm"
 
     def test_auto_follows_the_pool(self):
-        assert resolve_store_kind(ParallelConfig(workers=2)) == "shm"
-        assert resolve_store_kind(ParallelConfig(workers=1)) == "heap"
+        # ``store`` defaults from $REPRO_SHM, so name the kind under test.
+        assert resolve_store_kind(ParallelConfig(workers=2, store="auto")) == "shm"
+        assert resolve_store_kind(ParallelConfig(workers=1, store="auto")) == "heap"

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -69,6 +70,53 @@ def test_killed_run_resumes_to_the_cold_notebook(covid_csv, tmp_path, workers):
     assert main(["generate", str(covid_csv), "--workers", workers,
                  "--out", str(cold), *FLAGS]) == 0
     assert resumed.read_bytes() == cold.read_bytes()
+
+
+def _trace_counters(path: Path) -> dict:
+    return json.loads(path.read_text())["otherData"]["metrics"]["counters"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_killed_since_checkpoint_run_keeps_its_reused_families(tmp_path, workers):
+    """A ``--since-checkpoint`` run killed after its first partial write
+    has already checkpointed every family the old memo served, so the
+    resume re-tests only what neither that memo nor a finished chunk
+    covered, and writes the cold run's notebook."""
+    full = covid_table(400)
+    cut = 340
+    continent = full.categorical_column("continent").codes
+    rest = [i for i in range(cut, full.n_rows) if continent[i] == continent[cut]]
+    base_csv, grown_csv = tmp_path / "base.csv", tmp_path / "grown.csv"
+    write_csv(full.take(np.arange(cut)), base_csv)
+    write_csv(full.take(np.array(list(range(cut)) + rest)), grown_csv)
+    run = ["--workers", workers, *FLAGS]
+
+    ck, warm_ck = tmp_path / "run.ckpt.json", tmp_path / "warm.ckpt.json"
+    assert main(["generate", str(base_csv), "--checkpoint", str(ck),
+                 "--out", str(tmp_path / "base.ipynb"), *run]) == 0
+    warm_ck.write_bytes(ck.read_bytes())
+    warm, warm_trace = tmp_path / "warm.ipynb", tmp_path / "warm-trace.json"
+    assert main(["generate", str(grown_csv), "--checkpoint", str(warm_ck),
+                 "--since-checkpoint", "--out", str(warm), "--trace", str(warm_trace),
+                 *run]) == 0
+    warm_counters = _trace_counters(warm_trace)
+    reused = warm_counters["stats.partitions_skipped"]
+    families = reused + warm_counters["stats.partitions_retested"]
+    assert 0 < reused < families
+
+    _kill_after(1, grown_csv, ck, "--since-checkpoint", "--workers", workers)
+    covered = sum(len(f) for f in load_checkpoint(ck).memo.families.values())
+    resumed, trace = tmp_path / "resumed.ipynb", tmp_path / "trace.json"
+    assert main(["generate", str(grown_csv), "--checkpoint", str(ck),
+                 "--resume", str(ck), "--out", str(resumed), "--trace", str(trace),
+                 *run]) == 0
+    counters = _trace_counters(trace)
+    assert counters["stats.partitions_skipped"] == covered >= reused
+    assert counters["stats.partitions_retested"] == families - covered
+
+    cold = tmp_path / "cold.ipynb"
+    assert main(["generate", str(grown_csv), "--out", str(cold), *run]) == 0
+    assert resumed.read_bytes() == warm.read_bytes() == cold.read_bytes()
 
 
 def test_partial_checkpoint_of_another_table_is_refused(covid_csv, tmp_path, capsys):

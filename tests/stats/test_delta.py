@@ -1,6 +1,7 @@
 """Unit tests for the delta-aware stats planner (repro.stats.delta)."""
 
 import dataclasses
+import logging
 
 import pytest
 
@@ -8,6 +9,8 @@ from repro.errors import ReproError
 from repro.generation.config import GenerationConfig, SamplingSpec
 from repro.insights.insight import CandidateInsight
 from repro.parallel import ParallelConfig
+from repro.relational import table_from_arrays
+from repro.stats import delta
 from repro.stats.delta import (
     StatsMemo,
     incremental_config_token,
@@ -140,21 +143,35 @@ def make_memo(config, families=None):
 WORK = [("a", None, list(CANDIDATES))]
 
 
+def table_of(n_rows=100, appended=()):
+    """``n_rows`` rows over the values x, y, z of ``a``, then ``appended``."""
+    labels = [("x", "y", "z")[i % 3] for i in range(n_rows)] + list(appended)
+    return table_from_arrays({"a": labels}, {"m": [float(i) for i in range(len(labels))]})
+
+
+def assert_all_dirty(plan):
+    assert not plan.served
+    assert plan.skipped == 0 and plan.retested == 2
+    assert plan.dirty_work == WORK
+    assert all(record is None for _, _, record in plan.order["a"])
+
+
 class TestPlanIncremental:
     def test_clean_and_dirty_classification(self):
         config = GenerationConfig()
         memo = make_memo(config)
-        plan = plan_incremental(memo, WORK, {"a": frozenset({"z"})}, config)
-        assert plan is not None
+        plan = plan_incremental(memo, WORK, table_of(appended=("z",)), config)
+        assert plan.served
         assert plan.skipped == 1 and plan.retested == 1
         entries = plan.order["a"]
         assert entries[0][2] is not None  # (x, y) untouched -> clean
         assert entries[1][2] is None  # (x, z) contains dirty 'z'
         assert plan.dirty_work == [("a", None, list(FAMILY_XZ))]
+        assert entries[0][2] is memo.families["a"][0]
 
     def test_no_dirty_values_skips_everything(self):
         config = GenerationConfig()
-        plan = plan_incremental(make_memo(config), WORK, {}, config)
+        plan = plan_incremental(make_memo(config), WORK, table_of(), config)
         assert plan.skipped == 2 and plan.retested == 0
         assert plan.dirty_work == []
 
@@ -165,43 +182,70 @@ class TestPlanIncremental:
         memo = make_memo(config)
         new_family = (cand("x", "w"),)
         work = [("a", None, list(CANDIDATES + new_family))]
-        plan = plan_incremental(memo, work, {}, config)
+        plan = plan_incremental(memo, work, table_of(), config)
         assert plan.retested == 1
         assert plan.dirty_work == [("a", None, list(new_family))]
 
-    def test_sampling_falls_back(self):
+    def test_no_memo_is_an_all_dirty_plan(self, caplog, monkeypatch):
+        # A cold run reads no appended rows and logs nothing.
+        monkeypatch.setattr(delta, "touched_labels", None)
+        with caplog.at_level(logging.WARNING):
+            plan = plan_incremental(None, WORK, table_of(), GenerationConfig())
+        assert_all_dirty(plan)
+        assert not caplog.records
+
+    def test_sampling_falls_back(self, caplog, monkeypatch):
         config = GenerationConfig()
         sampled = dataclasses.replace(config, sampling=SamplingSpec("random", 0.5))
-        assert plan_incremental(make_memo(config), WORK, {}, sampled) is None
+        monkeypatch.setattr(delta, "touched_labels", None)
+        with caplog.at_level(logging.WARNING):
+            plan = plan_incremental(make_memo(config), WORK, table_of(), sampled)
+        assert_all_dirty(plan)
+        assert "offline sampling re-draws rows" in caplog.text
 
-    def test_sampling_is_served_at_the_memo_version(self):
+    def test_sampling_is_served_at_the_memo_version(self, caplog):
         """A sample drawn at the same version is identical (a resumed run)."""
         sampled = dataclasses.replace(
             GenerationConfig(), sampling=SamplingSpec("random", 0.5)
         )
         memo = make_memo(sampled)
-        plan = plan_incremental(memo, WORK, {}, sampled, memo.version)
-        assert plan is not None and plan.skipped == 2
-        assert plan_incremental(memo, WORK, {}, sampled, "100-other") is None
+        plan = plan_incremental(memo, WORK, table_of(), sampled, memo.version)
+        assert plan.served and plan.skipped == 2
+        with caplog.at_level(logging.WARNING):
+            plan = plan_incremental(memo, WORK, table_of(), sampled, "100-other")
+        assert_all_dirty(plan)
+        assert "offline sampling re-draws rows" in caplog.text
 
     def test_unshared_permutations_are_planned(self):
         """Fresh batches are keyed by candidate, so a family subset re-tests
         to the same results: the memo serves them like shared batches."""
         config = with_significance(GenerationConfig(), share_across_pairs=False)
-        plan = plan_incremental(make_memo(config), WORK, {}, config)
-        assert plan is not None and plan.skipped == 2
+        plan = plan_incremental(make_memo(config), WORK, table_of(), config)
+        assert plan.served and plan.skipped == 2
 
-    def test_config_token_mismatch_falls_back(self):
+    def test_config_token_mismatch_falls_back(self, caplog, monkeypatch):
         config = GenerationConfig()
         changed = with_significance(config, n_permutations=999)
-        assert plan_incremental(make_memo(config), WORK, {}, changed) is None
+        monkeypatch.setattr(delta, "touched_labels", None)
+        with caplog.at_level(logging.WARNING):
+            plan = plan_incremental(make_memo(config), WORK, table_of(), changed)
+        assert_all_dirty(plan)
+        assert "config token" in caplog.text
+
+    def test_memo_larger_than_table_falls_back(self, caplog, monkeypatch):
+        config = GenerationConfig()
+        monkeypatch.setattr(delta, "touched_labels", None)
+        with caplog.at_level(logging.WARNING):
+            plan = plan_incremental(make_memo(config), WORK, table_of(60), config)
+        assert_all_dirty(plan)
+        assert "memo covers 100 rows but the table holds only 60" in caplog.text
 
 
 class TestMergeAttribute:
     def test_merged_sequence_matches_cold_order(self):
         config = GenerationConfig()
         memo = make_memo(config)
-        plan = plan_incremental(memo, WORK, {"a": frozenset({"z"})}, config)
+        plan = plan_incremental(memo, WORK, table_of(appended=("z",)), config)
         fresh_result = Result(9.0, 0.009)
         oriented, results, records = merge_attribute(
             plan, "a", (list(FAMILY_XZ), [fresh_result])
@@ -215,6 +259,15 @@ class TestMergeAttribute:
             ("a", frozenset({"x", "y"})),
             ("a", frozenset({"x", "z"})),
         ]
+
+    def test_all_dirty_plan_passes_the_fresh_output_through(self):
+        plan = plan_incremental(None, WORK, table_of(), GenerationConfig())
+        fresh = tuple(Result(float(i), 0.1 * i) for i in range(len(CANDIDATES)))
+        oriented, results, records = merge_attribute(
+            plan, "a", (list(CANDIDATES), list(fresh))
+        )
+        assert tuple(oriented) == CANDIDATES and tuple(results) == fresh
+        assert records == segment_families(CANDIDATES, CANDIDATES, fresh)
 
 
 class TestMemoSerialization:
