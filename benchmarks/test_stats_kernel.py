@@ -24,14 +24,7 @@ bit-identical test results at every worker count and recording honest
 wall-clock numbers next to ``cpu_count`` — on a single-core container the
 pool cannot beat the serial run and the row says so rather than hiding it.
 
-A fourth workload measures the data plane itself: the same sharded stats
-stage on a large table under the ``heap`` plane (the table pickled into
-every worker) vs the ``shm`` plane (a compact handle to one shared
-segment).  Results are bit-identical; the recorded ``ipc_shrink`` ratio
-is the whole point of the zero-copy plane and the quick test holds it at
->= 10x.
-
-A fifth workload measures the multi-query optimizer: the support stage
+A fourth workload measures the multi-query optimizer: the support stage
 on a wide-schema synthetic under the sqlite pushdown backend, where
 UNION-ALL grouping-set statements answer many group-by sets each.  The
 recorded ``stmt_shrink`` — group-by sets in the plan per statement sent,
@@ -39,7 +32,7 @@ i.e. how many statements a one-statement-per-set plan would need for each
 one sent — is the COMPARE-style statement collapse and the quick test
 holds it at >= 5x.
 
-A sixth workload measures incremental recompute on appended data: the
+A fifth workload measures incremental recompute on appended data: the
 stats stage cold over a grown table vs incrementally from the prefix
 run's memo (``repro/stats/delta.py``).  The appended block touches one
 value per attribute, so most pair families are served verbatim from the
@@ -49,8 +42,7 @@ memo; results are bit-identical and the quick test holds the
 Gauges written (all under ``bench.stats.*``):
 ``wide_seconds``, ``enedis_seconds``, ``enedis_aggregate_hits``,
 ``workers_{1,2,4}_seconds``, ``workers_speedup``,
-``workers_parity_mismatches``, ``cpu_count``, ``ipc_bytes_heap``,
-``ipc_bytes_shm``, ``ipc_shrink``, ``shm_attaches``,
+``workers_parity_mismatches``, ``cpu_count``,
 ``mqo_plan_sets``, ``stmts_batched``, ``stmt_shrink``,
 ``delta_cold_seconds``,
 ``delta_incremental_seconds``, ``delta_speedup``,
@@ -201,61 +193,6 @@ def run_worker_scaling(quick: bool) -> dict:
         "mismatches": mismatches,
         "cpu_count": cpus,
         "n_significant": len(reference or []),
-    }
-
-
-def run_data_plane(quick: bool) -> dict:
-    """Heap pickling vs shm handles for the sharded stats stage.
-
-    The workload is chosen so the *dataset*, not the results, dominates
-    the wire: a large-row table with few candidate pairs.  Under the heap
-    plane every worker receives the pickled table in its setup message;
-    under the shm plane it receives a ~200-byte handle and attaches the
-    one shared segment.  Task and result traffic is identical between the
-    planes, so the ``ipc_bytes`` ratio isolates the data plane itself.
-    """
-    from repro.relational.store import shm_available
-
-    table = wide_table(30_000 if quick else 60_000, 2)
-    seconds: dict[str, float] = {}
-    ipc: dict[str, int] = {}
-    outputs: dict[str, list] = {}
-    attaches = 0
-    for store in ("heap", "shm"):
-        if store == "shm" and not shm_available():
-            break
-        config = GenerationConfig(
-            significance=SignificanceConfig(n_permutations=60 if quick else 200),
-            parallel=ParallelConfig(workers=2, store=store),
-        )
-        with obs.capture() as (_, metrics), pool_shards_of(50):
-            start = time.perf_counter()
-            stats = run_stats_stage(table, config)
-            seconds[store] = time.perf_counter() - start
-            counters = metrics.snapshot()["counters"]
-        ipc[store] = int(counters.get("parallel.ipc_bytes", 0))
-        if store == "shm":
-            attaches = int(counters.get("parallel.shm_attach", 0))
-        outputs[store] = [
-            (t.candidate.key, t.statistic, t.p_value, t.p_adjusted)
-            for t in stats.significant
-        ]
-    if "shm" not in ipc:  # pragma: no cover - no-shm platforms
-        return {"skipped": "shared memory unavailable"}
-    mismatches = sum(1 for a, b in zip(outputs["heap"], outputs["shm"]) if a != b)
-    mismatches += abs(len(outputs["heap"]) - len(outputs["shm"]))
-    shrink = ipc["heap"] / max(1, ipc["shm"])
-    obs.gauge("bench.stats.ipc_bytes_heap").set(ipc["heap"])
-    obs.gauge("bench.stats.ipc_bytes_shm").set(ipc["shm"])
-    obs.gauge("bench.stats.ipc_shrink").set(shrink)
-    obs.gauge("bench.stats.shm_attaches").set(attaches)
-    return {
-        "n_rows": table.n_rows,
-        "seconds": seconds,
-        "ipc_bytes": ipc,
-        "shrink": shrink,
-        "attaches": attaches,
-        "mismatches": mismatches,
     }
 
 
@@ -443,25 +380,6 @@ def build_workers_report(scaling: dict) -> str:
     return "\n".join(lines)
 
 
-def build_data_plane_report(plane: dict) -> str:
-    if "skipped" in plane:
-        return f"skipped: {plane['skipped']}"
-    heap_kb = plane["ipc_bytes"]["heap"] / 1024
-    shm_kb = plane["ipc_bytes"]["shm"] / 1024
-    lines = [
-        f"{'plane':<10}{'stats stage (s)':>16}{'ipc':>12}",
-        f"{'heap':<10}{plane['seconds']['heap']:>15.2f}s{heap_kb:>10.1f}kB",
-        f"{'shm':<10}{plane['seconds']['shm']:>15.2f}s{shm_kb:>10.1f}kB",
-        "",
-        f"per-stage IPC shrink: {plane['shrink']:.1f}x over {plane['n_rows']} "
-        f"rows ({plane['attaches']} zero-copy attaches); "
-        f"parity mismatches: {plane['mismatches']}",
-        "(wall-clock parity is expected here — the stage is compute-bound; "
-        "the plane removes per-stage serialization, not permutations)",
-    ]
-    return "\n".join(lines)
-
-
 def main(quick: bool = False) -> None:
     wide = run_wide(quick)
     enedis = run_enedis(quick)
@@ -469,9 +387,6 @@ def main(quick: bool = False) -> None:
     scaling = run_worker_scaling(quick)
     print_report("Sharded pool — worker scaling over the stats stage",
                  build_workers_report(scaling))
-    plane = run_data_plane(quick)
-    print_report("Data plane — heap pickling vs shm handles",
-                 build_data_plane_report(plane))
     mqo = run_mqo(quick)
     print_report("Multi-query optimization — sets per statement",
                  build_mqo_report(mqo))
@@ -492,18 +407,6 @@ def test_stats_kernel_enedis_cache(benchmark, capsys):
     with capsys.disabled():
         print_report("Stats kernel (quick) — enedis end to end", str(result))
     assert result["aggregate_hits"] > 0
-
-
-def test_stats_data_plane(benchmark, capsys):
-    result = run_once(benchmark, run_data_plane, True)
-    with capsys.disabled():
-        print_report("Data plane (quick)", build_data_plane_report(result))
-    if "skipped" in result:
-        return
-    assert result["mismatches"] == 0
-    # The acceptance bar: shipping handles instead of pickled tables must
-    # shrink per-stage IPC by at least an order of magnitude.
-    assert result["shrink"] >= 10.0, result
 
 
 def test_stats_mqo(benchmark, capsys):

@@ -123,22 +123,19 @@ class Session:
         self._backend = None
         self._closed = False
         self._lock = threading.RLock()
-        self._shared_store = None
         self._fleet = None
         # Mutation bookkeeping.  ``_state_lock`` guards the (table, backend,
         # versioner, moments, memo) tuple so :meth:`append` can swap the
         # dataset *while a run is in flight*: the run keeps working on the
-        # snapshot it took at start, and the superseded backend / shared
-        # segment land on ``_retired`` (closed at the next run boundary or
-        # in :meth:`close`) instead of being torn down under it.
+        # snapshot it took at start, and the superseded backend lands on
+        # ``_retired`` (closed at the next run boundary or in
+        # :meth:`close`) instead of being torn down under it.
         self._state_lock = threading.Lock()
         self._retired: list = []
         self._versioner = None
         self._moments = None
         self._memo = None
         self._fleet_stale = False
-        if self.table is not None:
-            self.table = self._materialize(self.table)
 
     @classmethod
     def from_csv(
@@ -155,38 +152,14 @@ class Session:
         """
         return cls(Path(path), config=config, table_name=table_name)
 
-    def _materialize(self, table: Table) -> Table:
-        """Move the resident table onto the configured data plane.
-
-        Under the shared-memory plane the table's arrays are copied into
-        one ``repro_*`` segment *once*; every stage of every run — and,
-        in the serving layer, every concurrent job's pool — then passes
-        the compact handle instead of re-pickling the data.  The segment
-        is owned by this session and unlinked in :meth:`close`.
-        """
-        from repro.parallel.config import resolve_store_kind
-        from repro.relational.store import share_table, shm_resident_bytes
-
-        if table.storage != "heap":
-            return table
-        if resolve_store_kind(self.config.parallel) != "shm":
-            return table
-        try:
-            shared = share_table(table)
-        except ReproError:  # pragma: no cover - shm probe raced the share
-            return table
-        self._shared_store = shared._store
-        self.metrics.gauge("data_plane.shm_resident_bytes").set(
-            shm_resident_bytes()
-        )
-        return shared
-
     def _run_fleet(self):
         """The session's worker fleet (spawned lazily, reused per run).
 
         Workers are spawned once per session and amortized across the
-        stats and support stages of every run; ``None`` when the config
-        never uses a subprocess pool.
+        stats and support stages of every run.  Each worker receives a
+        stage's table once and keeps the built state warm, so later runs
+        over the same table version ship no table bytes.  ``None`` when
+        the config never uses a subprocess pool.
         """
         if not self.config.parallel.active:
             return None
@@ -232,11 +205,6 @@ class Session:
             self._lock.release()
             return False
         return True
-
-    @property
-    def storage(self) -> str:
-        """Where the resident table lives: ``"heap"`` or ``"shm"``."""
-        return "heap" if self.table is None else self.table.storage
 
     # -- versioned mutation ---------------------------------------------------
 
@@ -315,10 +283,7 @@ class Session:
             if self._backend is not None:
                 self._retired.append(self._backend)
                 self._backend = None
-            if self._shared_store is not None:
-                self._retired.append(self._shared_store)
-                self._shared_store = None
-            self.table = self._materialize(grown)
+            self.table = grown
             self._fleet_stale = True
             self.metrics.counter("session.appends").inc()
             self.metrics.counter("session.rows_appended").inc(
@@ -355,15 +320,10 @@ class Session:
         with self._state_lock:
             retired, self._retired = self._retired, []
         for resource in retired:
-            closer = getattr(resource, "close", None) or getattr(
-                resource, "release", None
-            )
-            if closer is not None:
-                closer()
+            resource.close()
 
     def close(self) -> None:
-        """Release the backend, the worker fleet, and the shared segment.
-        Idempotent.
+        """Release the backend and the worker fleet.  Idempotent.
 
         Waits for a run in flight on another thread: the lock guarantees
         nothing is torn down under an active run.
@@ -376,9 +336,6 @@ class Session:
             if self._fleet is not None:
                 self._fleet.close()
                 self._fleet = None
-            if self._shared_store is not None:
-                self._shared_store.release()
-                self._shared_store = None
             self._closed = True
 
     def __enter__(self) -> "Session":

@@ -57,19 +57,12 @@ def incremental_backend_names() -> frozenset[str]:
     )
 
 
-def create_backend(name: str, table, table_name: str = "dataset") -> ExecutionBackend:
+def create_backend(name: str, table: Table, table_name: str = "dataset") -> ExecutionBackend:
     """Construct the named backend over ``table``.
 
     ``name`` may be None/empty to mean "the process default" (the
-    ``REPRO_BACKEND`` environment variable, else columnar).  ``table``
-    is a :class:`Table` or a data-plane
-    :class:`~repro.relational.store.TableHandle`, which resolves to a
-    zero-copy view of the shared segment — pool workers hand their
-    handle straight to the backend layer.
+    ``REPRO_BACKEND`` environment variable, else columnar).
     """
-    from repro.relational.store import resolve_table
-
-    table = resolve_table(table)
     resolved = (name or default_backend_name()).strip().lower()
     if resolved == "columnar":
         return ColumnarBackend(table)

@@ -165,11 +165,6 @@ class ExecutionBackend(Protocol):
         ...
 
     @property
-    def storage(self) -> str:  # pragma: no cover - protocol
-        """Data plane of the base relation's columns: ``heap`` or ``shm``."""
-        ...
-
-    @property
     def n_rows(self) -> int:  # pragma: no cover - protocol
         ...
 

@@ -58,11 +58,6 @@ class ColumnarBackend:
         return self._table
 
     @property
-    def storage(self) -> str:
-        """Which data plane holds the columns (``heap`` or ``shm``)."""
-        return self._table.storage
-
-    @property
     def n_rows(self) -> int:
         return self._table.n_rows
 

@@ -214,11 +214,6 @@ class SqliteBackend:
         return self._table
 
     @property
-    def storage(self) -> str:
-        """Plane of the *source* columns; the sqlite mirror is private."""
-        return self._table.storage
-
-    @property
     def n_rows(self) -> int:
         return self._table.n_rows
 

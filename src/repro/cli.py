@@ -65,7 +65,6 @@ from repro import __version__, obs
 from repro.api import Session
 from repro.backend import BACKEND_NAMES
 from repro.config import ReproConfig
-from repro.parallel import STORE_NAMES
 from repro.datasets import covid_table, enedis_table, flights_table, vaccine_table
 from repro.errors import ReproError
 from repro.generation import preset, preset_names
@@ -109,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="TAP solver (default from preset, else heuristic)")
 
     # One home for every execution knob; the CI matrix drives the same
-    # dimensions through $REPRO_BACKEND / $REPRO_WORKERS / $REPRO_SHM.
+    # dimensions through $REPRO_BACKEND / $REPRO_WORKERS.
     # None of them ever changes results — only speed.
     execution = gen.add_argument_group(
         "execution",
@@ -122,12 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="worker count for the statistics and "
                                 "hypothesis-evaluation stages (default "
                                 "honours $REPRO_WORKERS, else 1 = in-process)")
-    execution.add_argument("--store", choices=STORE_NAMES, default=None,
-                           help="column-store data plane for worker processes: "
-                                "shm (zero-copy shared memory), heap "
-                                "(per-worker pickled copies), or auto (shm "
-                                "when a subprocess pool is active; default, "
-                                "honours $REPRO_SHM)")
     execution.add_argument("--since-checkpoint", action="store_true",
                            help="incremental re-run: reuse the stats memo saved "
                                 "in --checkpoint by an earlier run over a row "
@@ -165,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="permutations per statistical test (default 200)")
     prof.add_argument("--workers", type=int, default=None,
                       help="worker count (default honours $REPRO_WORKERS)")
-    prof.add_argument("--store", choices=STORE_NAMES, default=None,
-                      help="column-store data plane (auto, heap, or shm)")
     prof.add_argument("--backend", choices=BACKEND_NAMES, default=None,
                       help="execution backend (columnar or sqlite)")
     prof.add_argument("--trace", type=Path, default=None, metavar="PATH",
@@ -275,13 +266,8 @@ def _config_from_args(args: argparse.Namespace) -> ReproConfig:
         config = ReproConfig().with_significance(n_permutations=args.permutations)
     if getattr(args, "backend", None):
         config = config.with_generation(backend=args.backend)
-    parallel_changes = {}
     if getattr(args, "workers", None) is not None:
-        parallel_changes["workers"] = args.workers
-    if getattr(args, "store", None):
-        parallel_changes["store"] = args.store
-    if parallel_changes:
-        config = config.with_parallel(**parallel_changes)
+        config = config.with_parallel(workers=args.workers)
     if getattr(args, "solver", None):
         config = config.replace(solver=args.solver)
     return config
@@ -423,7 +409,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(obs.format_hotspots(tracer, top_k=args.top))
         print()
         print(obs.metrics_summary_line(metrics))
-        print(_data_plane_line(session, metrics))
+        print(_data_plane_line(metrics))
     if args.trace:
         obs.write_chrome_trace(tracer, args.trace, metrics)
         print(f"wrote {args.trace}")
@@ -435,18 +421,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _data_plane_line(session: Session, metrics) -> str:
-    """One-line data-plane summary: store kind, IPC volume, shm residency."""
-    snapshot = metrics.snapshot()
-    counters = snapshot["counters"]
-    gauges = snapshot["gauges"]
-    ipc = int(counters.get("parallel.ipc_bytes", 0.0))
-    attaches = int(counters.get("parallel.shm_attach", 0.0))
-    resident = int(gauges.get("data_plane.shm_resident_bytes", 0.0))
-    return (
-        f"data plane: store={session.storage} ipc_bytes={ipc} "
-        f"shm_attaches={attaches} shm_resident_bytes={resident}"
-    )
+def _data_plane_line(metrics) -> str:
+    """One-line data-plane summary: the bytes that crossed worker pipes."""
+    ipc = int(metrics.snapshot()["counters"].get("parallel.ipc_bytes", 0.0))
+    return f"data plane: ipc_bytes={ipc}"
 
 
 def _print_report(run, quiet: bool) -> int:

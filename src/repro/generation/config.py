@@ -70,9 +70,9 @@ class GenerationConfig:
         Byte budget for Algorithm 2's cache (None = unlimited).
     parallel:
         The sharded execution layer's settings
-        (:class:`~repro.parallel.config.ParallelConfig`): worker count
-        (Section 6.3.3's parallelism knob), data plane, restart budget,
-        shard size.  The default honours ``REPRO_WORKERS``.
+        (:class:`~repro.parallel.config.ParallelConfig`): the worker
+        count (Section 6.3.3's parallelism knob).  The default honours
+        ``REPRO_WORKERS``.
     max_pairs_per_attribute:
         Optional cap on enumerated value pairs per attribute (explicitly
         reported when it truncates).

@@ -10,21 +10,15 @@ model and failure semantics are documented in ``docs/parallelism.md``.
 """
 
 from repro.parallel.config import (
-    SHM_ENV_VAR,
-    STORE_NAMES,
     WORKERS_ENV_VAR,
     ParallelConfig,
-    default_store,
     default_workers,
-    resolve_store_kind,
 )
 from repro.parallel.fleet import WorkerFleet, current_fleet, use_fleet
 from repro.parallel.pool import ShardPool, WorkerContext, WorkerCrashed
 from repro.parallel.shards import run_stats_shards, run_support_shards
 
 __all__ = [
-    "SHM_ENV_VAR",
-    "STORE_NAMES",
     "WORKERS_ENV_VAR",
     "ParallelConfig",
     "ShardPool",
@@ -32,9 +26,7 @@ __all__ = [
     "WorkerCrashed",
     "WorkerFleet",
     "current_fleet",
-    "default_store",
     "default_workers",
-    "resolve_store_kind",
     "run_stats_shards",
     "run_support_shards",
     "use_fleet",

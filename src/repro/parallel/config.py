@@ -1,10 +1,10 @@
 """Configuration of the sharded multiprocess execution layer.
 
 :class:`ParallelConfig` is the knob surface for the process-pool layer
-(:mod:`repro.parallel.pool`): how many workers, and which data plane.  It
-is embedded in :class:`~repro.generation.config.GenerationConfig`
-(``parallel=``) and in the top-level :class:`~repro.config.ReproConfig`,
-and surfaces on the CLI as ``repro generate --workers N``.
+(:mod:`repro.parallel.pool`): how many workers.  It is embedded in
+:class:`~repro.generation.config.GenerationConfig` (``parallel=``) and in
+the top-level :class:`~repro.config.ReproConfig`, and surfaces on the
+CLI as ``repro generate --workers N``.
 
 Determinism contract: worker count and scheduling **never** change
 results.  Every worker count runs the same shard tasks
@@ -25,46 +25,18 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 
 __all__ = [
-    "SHM_ENV_VAR",
     "STORE_NAMES",
     "WORKERS_ENV_VAR",
     "ParallelConfig",
-    "default_store",
     "default_workers",
-    "resolve_store_kind",
 ]
 
 #: Environment variable holding the default worker count (CI matrix hook,
 #: mirroring ``REPRO_BACKEND``).
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
-#: Column-store planes for the data shipped to workers: ``auto`` picks
-#: shared memory whenever a process pool would actually run and the
-#: platform supports it, ``heap`` forces the pickling plane, ``shm``
-#: forces shared memory (degrading to heap only where shm is physically
-#: unavailable).
+#: Accepted values of the ignored :attr:`ParallelConfig.store` field.
 STORE_NAMES: tuple[str, ...] = ("auto", "heap", "shm")
-
-#: Environment variable selecting the store plane (CI matrix hook):
-#: ``0``/``heap``, ``1``/``shm``, or ``auto`` (the default).
-SHM_ENV_VAR = "REPRO_SHM"
-
-
-def default_store() -> str:
-    """The process-wide default store plane: ``$REPRO_SHM`` or ``auto``."""
-    raw = os.environ.get(SHM_ENV_VAR, "")
-    value = raw.strip()
-    if not value:
-        return "auto"
-    if value == "0":
-        return "heap"
-    if value == "1":
-        return "shm"
-    if value in STORE_NAMES:
-        return value
-    raise ReproError(
-        f"{SHM_ENV_VAR}={raw!r} must be one of 0, 1, auto, heap, shm"
-    )
 
 
 def default_workers() -> int:
@@ -105,15 +77,14 @@ class ParallelConfig:
         (no pool is ever created); a larger count runs them on the
         work-stealing subprocess pool of :mod:`repro.parallel.pool`.
     store:
-        Which data plane carries the table to workers: ``"auto"``
-        (shared memory when a process pool runs and the platform has
-        it), ``"heap"`` (pickle the table — the pre-8.x plane), or
-        ``"shm"`` (force shared memory).  Never affects results, only
-        how bytes move; see :func:`resolve_store_kind`.
+        Accepted and ignored: one of :data:`STORE_NAMES`, validated so
+        existing configs keep loading.  Workers always receive the table
+        pickled in their stage's init blob, once per worker per table
+        version (see docs/parallelism.md).
     """
 
     workers: int = field(default_factory=default_workers)
-    store: str = field(default_factory=default_store)
+    store: str = "auto"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -140,22 +111,3 @@ class ParallelConfig:
                 f"unknown ParallelConfig keys {sorted(unknown)}; known: {sorted(known)}"
             )
         return cls(**data)
-
-
-def resolve_store_kind(parallel: ParallelConfig) -> str:
-    """The concrete data plane a run under ``parallel`` uses.
-
-    ``heap`` and ``shm`` are honoured directly (``shm`` still degrades
-    to heap where shared memory is physically unavailable — the paper's
-    pipeline must run anywhere); ``auto`` picks shared memory exactly
-    when a subprocess pool would carry the data.
-    """
-    from repro.relational.store import shm_available
-
-    if parallel.store == "heap":
-        return "heap"
-    if parallel.store == "shm":
-        return "shm" if shm_available() else "heap"
-    if parallel.active and shm_available():
-        return "shm"
-    return "heap"

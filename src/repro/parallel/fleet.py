@@ -16,24 +16,23 @@ A :class:`WorkerFleet` decouples worker lifetime from stage lifetime:
 * **block IPC** — tasks travel in small blocks
   (:data:`~repro.parallel.pool.IPC_BLOCK_SIZE`) instead
   of one pipe round-trip per task;
-* **warm stage states** — workers cache built stage states keyed by the
-  init blob's digest, so a repeat of the same stage (the next request
-  against a warm serving session, a replacement worker rejoining)
-  reuses attached segments, backend connections, and aggregate caches
-  instead of rebuilding them;
+* **warm stage states, shipped once** — workers cache built stage
+  states keyed by the init blob's digest, and acknowledge every setup
+  with the digests they hold.  The fleet ships a stage's blob (usually
+  the pickled table) only to a worker that does not hold that digest, so
+  a repeat of the same stage — the next run of a warm session, the next
+  request against a warm serving session — sends a digest and reuses
+  the backend connections and aggregate caches already built;
 * **exact byte accounting** — every message is pickled *by this module*
   and crosses the pipes as raw bytes, so ``parallel.ipc_bytes`` counts
-  precisely what the data plane pays.  This is the counter the
-  data-plane benchmark asserts its ≥10x shrink against.
+  precisely what the data plane pays.
 
-The fleet is deliberately generic: it knows nothing about tables or
-handles.  Zero-copy comes from what the *payloads* are — a
-:class:`~repro.relational.store.TableHandle` instead of a pickled table.
+The fleet is deliberately generic: it knows nothing about tables, only
+about opaque init blobs and their digests.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import multiprocessing as mp
 import os
@@ -59,7 +58,7 @@ _INJECTED_EXIT = 17
 #: How many distinct stage states a worker keeps warm.  A session's run
 #: alternates between two stages (stats, support); serving adds one
 #: distinct pair per warm dataset this worker sees.  Evicted states are
-#: closed.
+#: closed, and a later setup of an evicted stage ships its blob again.
 _STATE_CACHE_SIZE = 4
 
 
@@ -175,17 +174,17 @@ def _fleet_worker_main(worker_id: int, task_conn, result_conn,
     message (the stop sentinel), EOF, or the parent's death.
 
     Messages arrive and leave as pre-pickled bytes (the parent counts
-    them).  A setup message carries the stage's init blob; its digest
-    keys a small cache of built states, so the same stage arriving again
-    — the next run of a warm serving session, a replacement worker
-    rejoining — reuses the existing state (attached segments, backend
-    connections, warm aggregate caches) instead of re-running the init.
-    Setup is acknowledged with a ``ready`` message carrying the init's
-    spans and metrics (a shared-memory attach happens *here*, so its
-    ``parallel.shm_attach`` count ships with the ack; a cache hit attaches
-    nothing).  Each task in a block runs under a fresh tracer/metrics
-    capture so the parent can adopt one ``parallel.task`` subtree per
-    task; a block stops at its first failure.
+    them).  A setup message carries the stage's digest, and its init
+    blob unless the parent knows this worker holds that digest.  The
+    digest keys a small cache of built states, so the same stage arriving
+    again — the next run of a warm session — reuses the existing state
+    (backend connections, warm aggregate caches) instead of re-running
+    the init.  Setup is acknowledged with a ``ready`` message carrying
+    the init's spans and metrics and the digests now held; a failed
+    setup holds no state for its digest.  Each task in a block runs
+    under a fresh tracer/metrics capture so the parent can adopt one
+    ``parallel.task`` subtree per task; a block stops at its first
+    failure.
     """
     stage: _Stage | None = None
     # blob digest -> (task_fn, state); insertion-ordered, refreshed on
@@ -216,7 +215,7 @@ def _fleet_worker_main(worker_id: int, task_conn, result_conn,
                 stage = None
                 continue
             if message[0] == "setup":
-                (_, epoch, init_blob, deadline_remaining,
+                (_, seq, epoch, digest, init_blob, deadline_remaining,
                  label, fault_guard) = message
                 stage = None
                 deadline = (Deadline(max(1e-3, deadline_remaining))
@@ -224,15 +223,14 @@ def _fleet_worker_main(worker_id: int, task_conn, result_conn,
                 checkpoint = _make_worker_checkpoint(
                     cancel_value, epoch, deadline, label
                 )
-                digest = hashlib.blake2s(init_blob).digest()
                 with obs.capture() as (tracer, metrics):
                     try:
                         if digest in states:
                             states[digest] = states.pop(digest)  # recency
                             task_fn, state = states[digest]
                             # Per-stage reset hook: a reused state keeps
-                            # its expensive parts (attached segments,
-                            # connections, the table's aggregate cache)
+                            # its expensive parts (connections, the
+                            # table's aggregate cache)
                             # and rebuilds the per-stage ones, matching
                             # what a fresh worker_init over warm memory
                             # would produce.
@@ -240,6 +238,11 @@ def _fleet_worker_main(worker_id: int, task_conn, result_conn,
                             if callable(reset):
                                 reset()
                         else:
+                            if init_blob is None:
+                                raise LookupError(
+                                    "setup sent no init blob for a stage "
+                                    "this worker does not hold"
+                                )
                             task_fn, worker_init, init_payload = pickle.loads(
                                 init_blob
                             )
@@ -253,13 +256,17 @@ def _fleet_worker_main(worker_id: int, task_conn, result_conn,
                         ok, detail = True, None
                     except BaseException as exc:  # noqa: BLE001 - shipped back
                         ok, detail = False, (type(exc).__name__, str(exc))
+                        # A state whose setup failed is not held.
+                        failed = states.pop(digest, None)
+                        if failed is not None:
+                            _close_state(failed[1])
                 if ok:
                     stage = _Stage(
                         epoch, task_fn, WorkerContext(state, checkpoint),
                         fault_guard,
                     )
                 ship(("ready", worker_id, epoch, ok, detail,
-                      tracer.export(), metrics.export()))
+                      tracer.export(), metrics.export(), seq, tuple(states)))
             else:  # ("block", epoch, block_index, entries)
                 _, epoch, block_index, entries = message
                 if (stage is None or stage.epoch != epoch
@@ -298,6 +305,13 @@ class WorkerFleet:
     which count every byte into ``parallel.ipc_bytes``.  Close with
     :meth:`close` (idempotent) or use it as a context manager.
 
+    The fleet also tracks which stage states each worker holds: every
+    setup acknowledgement lists the worker's cached digests, and
+    :meth:`setup` ships an init blob only to a worker not known to hold
+    its digest.  Knowledge is dropped while a setup is unacknowledged,
+    when the worker is replaced, and on :meth:`refresh`, so the parent
+    never believes a worker holds a state that it does not.
+
     Each worker talks to the parent over two private one-way pipes.  Only
     the worker holds the write end of its result pipe: a worker that dies
     mid-write (OOM kill, native crash) can corrupt nothing but its own
@@ -316,6 +330,12 @@ class WorkerFleet:
         self._workers: dict[int, tuple] = {}
         # Workers whose pipes broke or whose process exited.
         self._dead: set[int] = set()
+        # id -> count of messages that changed the worker's stage states
+        # (setups and drops); a setup's ack echoes its count.
+        self._state_seq: dict[int, int] = {}
+        # id -> digests the worker holds, as of its ack to the latest
+        # such message; absent while unknown.
+        self._held: dict[int, frozenset[bytes]] = {}
         self._next_worker_id = 0
         self._epoch = 0
         self.closed = False
@@ -378,6 +398,8 @@ class WorkerFleet:
         """Forget a (dead) worker; returns its exit code for diagnostics."""
         process, task_writer, reader = self._workers.pop(worker_id)
         self._dead.discard(worker_id)
+        self._state_seq.pop(worker_id, None)
+        self._held.pop(worker_id, None)
         task_writer.close()
         reader.close()
         process.join(timeout=1.0)
@@ -387,18 +409,33 @@ class WorkerFleet:
         """Tell every live worker to drop its warm stage states.
 
         Called after the owning session's table version advances: the
-        cached states reference the superseded table (and, under the shm
-        plane, hold attached views of its segment), and their digest keys
-        can never match again.  The broadcast is fire-and-forget — each
-        worker's task pipe is serial, so the drop lands before any
-        subsequent stage setup.
+        cached states reference the superseded table, and their digest
+        keys can never match again.  The broadcast is fire-and-forget —
+        each worker's task pipe is serial, so the drop lands before any
+        subsequent stage setup, which therefore ships its blob.
         """
         if self.closed:
             return
         for worker_id in list(self._workers):
             if self.alive(worker_id):
+                self._state_seq[worker_id] = self._state_seq.get(worker_id, 0) + 1
+                self._held[worker_id] = frozenset()
                 self.send(worker_id, ("drop_states",))
         obs.counter("parallel.fleet_refreshes").inc()
+
+    def setup(self, worker_id: int, epoch: int, digest: bytes,
+              init_blob: bytes, deadline_remaining: float | None,
+              label: str, fault_guard: str | None) -> None:
+        """Set a worker up for a stage; ship ``init_blob`` only when the
+        worker is not known to hold the state keyed by ``digest``.
+
+        Until this setup is acknowledged, the worker's states are unknown.
+        """
+        seq = self._state_seq[worker_id] = self._state_seq.get(worker_id, 0) + 1
+        held = self._held.pop(worker_id, frozenset())
+        blob = None if digest in held else init_blob
+        self.send(worker_id, ("setup", seq, epoch, digest, blob,
+                              deadline_remaining, label, fault_guard))
 
     # -- the byte-counted wire ----------------------------------------------
 
@@ -444,7 +481,11 @@ class WorkerFleet:
                 self._dead.add(worker_id)
                 return None
             obs.counter("parallel.ipc_bytes").inc(len(raw))
-            return pickle.loads(raw)
+            message = pickle.loads(raw)
+            if (message[0] == "ready"
+                    and message[-2] == self._state_seq.get(worker_id)):
+                self._held[worker_id] = frozenset(message[-1])
+            return message
         return None
 
     # -- teardown ------------------------------------------------------------
@@ -468,6 +509,8 @@ class WorkerFleet:
             reader.close()
         self._workers.clear()
         self._dead.clear()
+        self._state_seq.clear()
+        self._held.clear()
 
     def __enter__(self) -> "WorkerFleet":
         return self

@@ -12,18 +12,18 @@ attribute — but both need more than ``ProcessPoolExecutor.map`` offers:
   request against a warm serving session — reuse the same processes
   (``parallel.worker_spawns`` stays flat);
 * **block IPC with exact accounting** — tasks travel in small blocks and
-  every message crosses the queues as counted bytes
-  (``parallel.ipc_bytes``); with the shared-memory data plane
-  (:mod:`repro.relational.store`) the per-stage payload is a
-  :class:`~repro.relational.store.TableHandle`, not the dataset;
+  every message crosses the pipes as counted bytes
+  (``parallel.ipc_bytes``); the per-stage init blob (usually the pickled
+  table) reaches a worker only when it does not already hold that
+  stage's state;
 * **work stealing** — shard costs are wildly uneven (one large-domain
   attribute can hold 10x the candidates of the rest), so each worker owns
   a deque of blocks and an idle worker steals from the back of the longest
   remaining deque (``parallel.tasks_stolen`` counts the steals);
 * **crash isolation** — a worker that dies (OOM killer, native crash) is
   replaced up to :data:`MAX_WORKER_RESTARTS` times and its in-flight block is
-  re-queued; the replacement re-runs the stage setup, which under the shm
-  plane re-attaches the existing segment instead of re-pickling the data.
+  re-queued; the replacement receives the stage's init blob and re-runs
+  the setup.
   Past the restart budget the pool stops replacing workers and the
   remaining shards run *in-process*, where the cooperative
   :class:`~repro.runtime.deadline.Deadline` checkpoints can fire and the
@@ -49,6 +49,7 @@ family-boundary chunking).
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import pickle
@@ -144,11 +145,11 @@ class ShardPool:
         a repeat of the same stage (a warm serving session, a replacement
         worker rejoining) reuses it instead of rebuilding.  Build
         per-worker resources here — e.g. a backend with its own SQLite
-        connection, or a zero-copy attach of a
-        :class:`~repro.relational.store.TableHandle`.
+        connection.
     init_payload:
-        Shipped once per worker per stage; becomes ``ctx.state`` directly
-        when no ``worker_init`` is given.
+        Shipped to a worker only when it does not hold this stage's
+        state; becomes ``ctx.state`` directly when no ``worker_init`` is
+        given.
     label:
         Span/log prefix (the pool span is ``parallel.<label>``).
     deadline:
@@ -315,17 +316,17 @@ class _Scheduler:
         if "parallel.worker" in os.environ.get("REPRO_FAULTS", ""):
             self._fault_guard = tempfile.mkdtemp(prefix="repro-worker-fault-")
         # The stage's identity on the wire: one pre-pickled blob of
-        # (task_fn, worker_init, init_payload), built once per run and
-        # shipped verbatim to every worker (and every replacement).
-        # Workers key their state cache on its digest, so a repeat setup —
-        # the second run against a warm serving session, a restarted
-        # worker rejoining a stage — reuses the state it already built
-        # (attached segments, backend connections, warm aggregate caches)
-        # instead of re-running the init.
+        # (task_fn, worker_init, init_payload), built once per run, and
+        # its digest.  Workers key their state cache on the digest, and
+        # the fleet ships the blob only to a worker that does not hold
+        # it, so a repeat setup — the next run against a warm session —
+        # reuses the state already built (backend connections, warm
+        # aggregate caches) and moves no table bytes.
         self._init_blob = pickle.dumps(
             (pool._task_fn, pool._worker_init, pool._init_payload),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
+        self._digest = hashlib.blake2s(self._init_blob).digest()
 
     # -- per-stage worker setup ---------------------------------------------
 
@@ -334,10 +335,9 @@ class _Scheduler:
         remaining = None
         if pool._deadline is not None and pool._deadline.limited:
             remaining = pool._deadline.remaining()
-        self._fleet.send(worker_id, (
-            "setup", self._epoch, self._init_blob, remaining,
-            pool._label, self._fault_guard,
-        ))
+        self._fleet.setup(worker_id, self._epoch, self._digest,
+                          self._init_blob, remaining, pool._label,
+                          self._fault_guard)
 
     def _dispatch(self, worker_id: int) -> None:
         """Send the next block to ``worker_id``, stealing if its deque is dry."""
@@ -429,7 +429,7 @@ class _Scheduler:
     def _handle(self, message) -> None:
         tracer = obs.current_tracer()
         if message[0] == "ready":
-            _, worker_id, epoch, ok, detail, spans, exported = message
+            _, worker_id, epoch, ok, detail, spans, exported, _, _ = message
             if epoch != self._epoch:
                 return  # ack from a cancelled stage
             tracer.adopt(

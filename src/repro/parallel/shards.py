@@ -56,9 +56,8 @@ from repro.insights.significance import (
     run_attribute_chunk,
 )
 from repro.insights.types import insight_type
-from repro.parallel.config import ParallelConfig, resolve_store_kind
+from repro.parallel.config import ParallelConfig
 from repro.parallel.pool import ShardPool, WorkerContext
-from repro.relational.store import export_table, resolve_table
 from repro.queries.comparison import ComparisonQuery
 from repro.queries.evaluate import ComparisonResult
 from repro.relational.table import Table
@@ -109,32 +108,12 @@ def _stats_jobs(
     ]
 
 
-def _stats_worker_init(payload):
-    """Resolve the shipped per-attribute sources into tables.
-
-    Under the shared-memory plane each source is a compact
-    :class:`~repro.relational.store.TableHandle`; attaching is zero-copy
-    and counted (``parallel.shm_attach``).  Under the heap plane the
-    sources are the pickled tables themselves.
-    """
-    sources, config = payload
-    return (
-        {name: resolve_table(source) for name, source in sources.items()},
-        config,
-    )
-
-
 def _stats_task(ctx: WorkerContext, payload) -> tuple[list, list]:
     tables, config = ctx.state
     attribute, chunk = payload
     return run_attribute_chunk(
         tables[attribute], attribute, chunk, config, checkpoint=ctx.checkpoint
     )
-
-
-def _exportable(parallel: ParallelConfig) -> bool:
-    """Whether this run should ship handles instead of tables."""
-    return parallel.active and resolve_store_kind(parallel) == "shm"
 
 
 def run_stats_shards(
@@ -156,30 +135,14 @@ def run_stats_shards(
     completion order).
     """
     jobs = _stats_jobs(work, parallel.workers)
+    # The tables ship pickled in the stage's init blob, which a worker
+    # receives only when it lacks that stage's state; per-attribute
+    # samples typically alias one object, which pickle writes once.
     tables = {attribute: sample for attribute, sample, _ in work}
-    # Under the shm plane workers receive handles (a table already shared
-    # — e.g. the session's resident table — reuses its segment; sampled
-    # tables are shared for the duration of this run).  Under the heap
-    # plane the tables ship pickled, once per worker; per-attribute
-    # samples typically alias one object, deduplicated either way.
-    sources: dict[str, object] = tables
-    owned: list = []
-    if _exportable(parallel):
-        by_identity: dict[int, object] = {}
-        sources = {}
-        for attribute, sample in tables.items():
-            payload = by_identity.get(id(sample))
-            if payload is None:
-                payload, owned_store = export_table(sample, "shm")
-                by_identity[id(sample)] = payload
-                if owned_store is not None:
-                    owned.append(owned_store)
-            sources[attribute] = payload
     pool = ShardPool(
         parallel.workers,
         task_fn=_stats_task,
-        worker_init=_stats_worker_init,
-        init_payload=(sources, config),
+        init_payload=(tables, config),
         label="stats",
         deadline=deadline,
     )
@@ -190,12 +153,7 @@ def run_stats_shards(
         def on_result(index: int, value) -> None:
             on_chunk(*jobs[index], *value)
 
-    try:
-        outputs = pool.run(jobs, on_result=on_result)
-    finally:
-        for owned_store in owned:
-            owned_store.release()
-
+    outputs = pool.run(jobs, on_result=on_result)
     merged: dict[str, tuple[list, list]] = {
         attribute: ([], []) for attribute, _, _ in work
     }
@@ -268,7 +226,6 @@ class _SupportWorkerState(_SupportState):
         # repro.parallel.config for its own configuration).
         from repro.backend import create_backend
 
-        # create_backend resolves a TableHandle into a zero-copy view.
         super().__init__(create_backend(backend_name, table), None,
                          groups, valid_groupings, aggregates)
         self.evaluator_name = evaluator_name
@@ -278,8 +235,7 @@ class _SupportWorkerState(_SupportState):
     def refresh(self) -> None:
         """Per-stage reset when the fleet reuses this state.
 
-        The backend — its connection, attached segment views, and the
-        table's cross-stage :class:`~repro.relational.aggcache
+        The backend — its connection and the table's cross-stage :class:`~repro.relational.aggcache
         .AggregateCache` — stays warm; only the cheap evaluator wrapper
         is rebuilt, so a repeat run re-requests its pair aggregates and
         records ``cache.aggregate_hits`` exactly as a ``workers=1`` rerun
@@ -398,7 +354,6 @@ def run_support_shards(
     """
     shard_groupings = sorted({g for gs in valid_groupings.values() for g in gs})
     in_process = not parallel.active or evaluator_name == "setcover"
-    owned_store = None
     if in_process:
         pool = ShardPool(
             1,
@@ -409,25 +364,16 @@ def run_support_shards(
             deadline=deadline,
         )
     else:
-        # Ship the table's handle when the shm plane is on (a session's
-        # resident table is already shared, costing nothing extra here).
-        source: object = table
-        if _exportable(parallel):
-            source, owned_store = export_table(table, "shm")
         pool = ShardPool(
             parallel.workers,
             task_fn=_support_task,
             worker_init=_support_worker_init,
-            init_payload=(source, backend.name, evaluator_name, memory_budget,
+            init_payload=(table, backend.name, evaluator_name, memory_budget,
                           groups, valid_groupings, list(aggregates)),
             label="support",
             deadline=deadline,
         )
-    try:
-        outputs = pool.run(shard_groupings)
-    finally:
-        if owned_store is not None:
-            owned_store.release()
+    outputs = pool.run(shard_groupings)
     records: dict[tuple[int, str, str], tuple[int, int, tuple[int, ...]]] = {}
     queries_sent = 0
     statements = 0

@@ -6,8 +6,7 @@ what the pipeline itself computes on: a columnar :class:`Table` with CSV
 I/O, dense grouping by dictionary codes (:meth:`Table.group_by_codes`),
 additive per-group summaries (:class:`GroupedSummary`), the
 partial-aggregate cube of Algorithm 2, size estimation,
-functional-dependency detection, and the shared-memory column store.
-There is no join, sort or expression engine.
+and functional-dependency detection.  There is no join, sort or expression engine.
 """
 
 from repro.relational.aggregates import (
@@ -38,16 +37,6 @@ from repro.relational.functional_deps import (
     related_attributes,
 )
 from repro.relational.schema import Attribute, AttributeKind, Schema, categorical, measure
-from repro.relational.store import (
-    ColumnStore,
-    SharedMemoryStore,
-    TableHandle,
-    attach_table,
-    leaked_segments,
-    share_table,
-    shm_available,
-    shm_resident_bytes,
-)
 from repro.relational.statistics import (
     collect_statistics,
     estimate_aggregate_bytes,
@@ -62,14 +51,6 @@ __all__ = [
     "Attribute",
     "AttributeKind",
     "CategoricalColumn",
-    "ColumnStore",
-    "SharedMemoryStore",
-    "TableHandle",
-    "attach_table",
-    "leaked_segments",
-    "share_table",
-    "shm_available",
-    "shm_resident_bytes",
     "FunctionalDependency",
     "GroupedSummary",
     "MaterializedAggregate",

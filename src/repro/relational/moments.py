@@ -7,16 +7,11 @@ moments as single-attribute :class:`~repro.relational.cube
 .MaterializedAggregate`\\ s, keyed by the table-version token of the rows
 they summarize, so an appended row block updates them in O(delta)
 (:meth:`MomentStore.advance` → :meth:`MaterializedAggregate.patched`)
-instead of re-scanning the table.
+instead of re-scanning the table.  A :class:`~repro.api.Session` holds
+one and seeds its aggregate cache from it after each append.
 
-Beyond the moments themselves, the store records which attribute *values*
-the last appended block touched (:meth:`dirty_values`) — the partition-
-granularity dirt map that drives selective re-testing (only pair families
-containing a dirty value re-run) and partition-granular cache invalidation.
-
-The store serializes to plain JSON (:meth:`to_dict` / :meth:`from_dict`;
-floats round-trip exactly through ``repr``), so the CLI checkpoint can
-carry it across processes for ``repro generate --since-checkpoint``.
+:func:`touched_labels` names the values an appended block touched; the
+stats stage re-tests only the pair families containing one.
 """
 
 from __future__ import annotations
@@ -26,15 +21,11 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import ReproError
-from repro.relational.aggregates import GroupedSummary
 from repro.relational.columns import NULL_LABEL
 from repro.relational.cube import MaterializedAggregate
 from repro.relational.table import Table
 
 __all__ = ["MomentStore", "touched_labels"]
-
-#: Version of the serialized moment-store format.
-MOMENTS_VERSION = 1
 
 
 def touched_labels(table: Table, attribute: str, delta_start: int) -> frozenset[str]:
@@ -57,19 +48,17 @@ class MomentStore:
         Row count of that table version.
     """
 
-    __slots__ = ("version", "n_rows", "_aggregates", "_dirty")
+    __slots__ = ("version", "n_rows", "_aggregates")
 
     def __init__(
         self,
         version: str,
         n_rows: int,
         aggregates: Mapping[str, MaterializedAggregate],
-        dirty: Mapping[str, frozenset[str]] | None = None,
     ):
         self.version = version
         self.n_rows = n_rows
         self._aggregates = dict(aggregates)
-        self._dirty = dict(dirty or {})
 
     @classmethod
     def build(cls, table: Table, version: str) -> "MomentStore":
@@ -80,10 +69,6 @@ class MomentStore:
         }
         return cls(version, table.n_rows, aggregates)
 
-    @property
-    def attributes(self) -> tuple[str, ...]:
-        return tuple(self._aggregates)
-
     def moments(self, attribute: str) -> MaterializedAggregate:
         """The single-attribute moment aggregate for ``attribute``."""
         try:
@@ -91,20 +76,13 @@ class MomentStore:
         except KeyError:
             raise ReproError(f"no moments stored for attribute {attribute!r}") from None
 
-    def dirty_values(self, attribute: str) -> frozenset[str]:
-        """Values of ``attribute`` touched by the last :meth:`advance`.
-
-        Empty for a cold-built store: nothing is dirty relative to itself.
-        """
-        return self._dirty.get(attribute, frozenset())
-
     def advance(self, table: Table, delta_start: int, version: str) -> "MomentStore":
         """A new store for ``table``, patched from this one in O(delta).
 
         ``table`` must extend this store's rows by an appended block
         starting at ``delta_start`` (== ``self.n_rows``); every
         per-attribute aggregate is patched bit-identically to a cold
-        rebuild, and the dirt map records the touched values.
+        rebuild.
         """
         if delta_start != self.n_rows:
             raise ReproError(
@@ -112,16 +90,13 @@ class MomentStore:
                 f"from a delta at row {delta_start}"
             )
         aggregates: dict[str, MaterializedAggregate] = {}
-        dirty: dict[str, frozenset[str]] = {}
         for name in table.schema.categorical_names:
             old = self._aggregates.get(name)
-            if old is None:
-                aggregates[name] = MaterializedAggregate.build(table, (name,))
-                dirty[name] = touched_labels(table, name, 0)
-                continue
-            aggregates[name] = old.patched(table, delta_start)
-            dirty[name] = touched_labels(table, name, delta_start)
-        return MomentStore(version, table.n_rows, aggregates, dirty)
+            aggregates[name] = (
+                MaterializedAggregate.build(table, (name,)) if old is None
+                else old.patched(table, delta_start)
+            )
+        return MomentStore(version, table.n_rows, aggregates)
 
     def seed_cache(self, cache, backend_name: str) -> int:
         """Insert every stored aggregate into an :class:`AggregateCache`.
@@ -134,65 +109,3 @@ class MomentStore:
             cache.seed(backend_name, (name,), None, aggregate)
             seeded += 1
         return seeded
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready snapshot (floats round-trip exactly)."""
-        attributes = {}
-        for name, aggregate in self._aggregates.items():
-            summaries = {}
-            for m, s in aggregate.summaries.items():
-                summaries[m] = {
-                    "count": s.count.tolist(),
-                    "total": s.total.tolist(),
-                    "total_sq": s.total_sq.tolist(),
-                    "minimum": s.minimum.tolist(),
-                    "maximum": s.maximum.tolist(),
-                }
-            attributes[name] = {
-                "categories": list(aggregate.categories[name]),
-                "keys": aggregate.keys[0].tolist() if aggregate.keys else [],
-                "summaries": summaries,
-            }
-        return {
-            "schema_version": MOMENTS_VERSION,
-            "version": self.version,
-            "n_rows": self.n_rows,
-            "attributes": attributes,
-            "dirty": {
-                name: sorted(values) for name, values in self._dirty.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MomentStore":
-        version = data.get("schema_version")
-        if version != MOMENTS_VERSION:
-            raise ReproError(
-                f"unsupported moment-store version {version!r} "
-                f"(expected {MOMENTS_VERSION})"
-            )
-        aggregates: dict[str, MaterializedAggregate] = {}
-        for name, payload in data["attributes"].items():
-            summaries = {
-                m: GroupedSummary(
-                    np.asarray(s["count"], dtype=np.float64),
-                    np.asarray(s["total"], dtype=np.float64),
-                    np.asarray(s["total_sq"], dtype=np.float64),
-                    np.asarray(s["minimum"], dtype=np.float64),
-                    np.asarray(s["maximum"], dtype=np.float64),
-                )
-                for m, s in payload["summaries"].items()
-            }
-            aggregates[name] = MaterializedAggregate(
-                (name,),
-                (np.asarray(payload["keys"], dtype=np.int64),),
-                {name: tuple(payload["categories"])},
-                summaries,
-            )
-        dirty = {
-            name: frozenset(values)
-            for name, values in (data.get("dirty") or {}).items()
-        }
-        return cls(data["version"], int(data["n_rows"]), aggregates, dirty)

@@ -98,7 +98,7 @@ class Table:
     Mutating the underlying arrays after construction is unsupported.
     """
 
-    __slots__ = ("schema", "_columns", "_aggregate_cache", "_store")
+    __slots__ = ("schema", "_columns", "_aggregate_cache")
 
     def __init__(self, schema: Schema, columns: Mapping[str, Column]):
         lengths = {name: len(col) for name, col in columns.items()}
@@ -117,7 +117,6 @@ class Table:
         self.schema = schema
         self._columns = dict(columns)
         self._aggregate_cache = None
-        self._store = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -174,9 +173,6 @@ class Table:
     # -- pickling -------------------------------------------------------------
     # The aggregate cache holds threading primitives and is a pure memo;
     # process-pool workers (the parallel test phase) rebuild it lazily.
-    # The column store is process-local lifecycle state: a pickled copy
-    # materializes the arrays and lands on the heap (zero-copy transfer
-    # is the handle's job — see repro.relational.store).
 
     def __getstate__(self) -> tuple:
         return (self.schema, self._columns)
@@ -184,19 +180,6 @@ class Table:
     def __setstate__(self, state: tuple) -> None:
         self.schema, self._columns = state
         self._aggregate_cache = None
-        self._store = None
-
-    # -- storage --------------------------------------------------------------
-
-    @property
-    def storage(self) -> str:
-        """Where this table's arrays live: ``"heap"`` or ``"shm"``."""
-        return "heap" if self._store is None else self._store.kind
-
-    def handle(self):
-        """The compact :class:`~repro.relational.store.TableHandle` of a
-        shared table, or ``None`` for heap-backed tables."""
-        return None if self._store is None else self._store.handle
 
     # -- aggregate cache ------------------------------------------------------
 
@@ -414,8 +397,8 @@ class TableVersioner:
     """Streaming content-version tokens for a growing table.
 
     The token is a pure function of the table's *content* (decoded labels
-    and measure bytes, in schema order) — independent of dictionary layout,
-    storage plane, or how many append steps produced the rows.  Keeping one
+    and measure bytes, in schema order) — independent of dictionary layout
+    or of how many append steps produced the rows.  Keeping one
     unfinalized hasher per column lets :meth:`advance` fold in an appended
     block in O(delta); :func:`content_token` computes the identical token
     cold, so a checkpointed token can be validated against a re-loaded

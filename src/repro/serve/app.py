@@ -51,7 +51,6 @@ from repro import obs
 from repro.config import ReproConfig
 from repro.errors import ReproError, ServeError, UnknownDatasetError
 from repro.obs.metrics import MetricsRegistry
-from repro.relational.store import shm_resident_bytes
 from repro.runtime.faults import FaultInjector, InjectedFault
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
@@ -170,9 +169,6 @@ class ReproServer:
         )
         names = self.registry.names()
         self.metrics.gauge("serve.datasets_resident").set(len(names))
-        self.metrics.gauge("data_plane.shm_resident_bytes").set(
-            shm_resident_bytes()
-        )
         for name in names:
             try:
                 entry = self.registry.get(name)

@@ -129,7 +129,6 @@ class DatasetEntry:
             "rows": self.session.table.n_rows,
             "columns": len(self.session.table.schema),
             "version": self.session.version,
-            "storage": self.session.storage,
             "cost_units": self.cost_units,
             "runs": self.runs,
             "leases": self.leases,

@@ -37,10 +37,7 @@ def quick_config():
 
 def test_session_from_table(covid, quick_config):
     with Session(covid, config=quick_config) as session:
-        if session.storage == "heap":
-            assert session.table is covid
-        else:  # shm plane (REPRO_SHM=1 runs): materialized, value-identical
-            assert session.table == covid
+        assert session.table is covid
         assert session.table_name == "dataset"
         run = session.generate()
     assert run.selected
@@ -236,8 +233,7 @@ def test_from_dict_rejects_unknown_keys(payload, match):
 
 def test_parallel_defaults_read_the_ci_matrix_hooks(monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHM", "0")
-    assert ReproConfig().parallel == ParallelConfig(workers=2, store="heap")
+    assert ReproConfig().parallel == ParallelConfig(workers=2)
     monkeypatch.setenv("REPRO_WORKERS", "many")
     with pytest.raises(ReproError, match="REPRO_WORKERS"):
         ParallelConfig()

@@ -4,9 +4,8 @@ For every execution backend, a notebook generated
 with ``workers in {2, 4}`` must be byte-identical to the ``workers=1``
 run — same selected queries, same rendered ``.ipynb`` JSON — and the
 :class:`RunReport` must agree on everything except wall-clock timings and
-the worker count itself.  The column-store plane (``heap`` pickling vs
-``shm`` zero-copy handles) and the support evaluator (set-cover runs its
-shards in-process at every worker count) are more dimensions that must
+the worker count itself.  The support evaluator (set-cover runs its
+shards in-process at every worker count) is one more dimension that must
 never show up in the output.
 """
 
@@ -22,24 +21,22 @@ from repro.insights.enumeration import enumerate_candidates
 from repro.insights.significance import run_attribute_chunk
 from repro.notebook import to_ipynb_json
 from repro.parallel import ParallelConfig, shards
-from repro.relational.store import shm_available
 
 BACKENDS = ("columnar", "sqlite")
-STORES = ("heap", "shm")
 EVALUATORS = ("pairwise", "setcover", "naive")
 
-#: (backend, workers, store, evaluator); the default evaluator keeps the
-#: bare ``backend-workers-store`` id.
+#: (backend, workers, evaluator).  Ids carry ``heap``, the data plane
+#: that ships the table to workers; the default evaluator keeps the bare
+#: ``backend-workers-heap`` id.
 CASES = [
     pytest.param(
-        backend, workers, store, evaluator,
-        id="-".join([backend, str(workers), store]
+        backend, workers, evaluator,
+        id="-".join([backend, str(workers), "heap"]
                     + ([] if evaluator == "pairwise" else [evaluator])),
     )
     for evaluator in EVALUATORS
     for backend in BACKENDS
     for workers in (2, 4)
-    for store in STORES
 ]
 
 
@@ -60,22 +57,21 @@ def table():
     return covid_table(400)
 
 
-def _config(backend: str, workers: int, store: str = "heap",
+def _config(backend: str, workers: int,
             evaluator: str = "pairwise") -> ReproConfig:
     return ReproConfig(
         generation=GenerationConfig(
             backend=backend,
             evaluator=evaluator,
             significance=SignificanceConfig(n_permutations=80),
-            parallel=ParallelConfig(workers=workers, store=store),
+            parallel=ParallelConfig(workers=workers),
         ),
         budget=6.0,
     )
 
 
-def _run(table, backend: str, workers: int, store: str = "heap",
-         evaluator: str = "pairwise"):
-    config = _config(backend, workers, store, evaluator)
+def _run(table, backend: str, workers: int, evaluator: str = "pairwise"):
+    config = _config(backend, workers, evaluator)
     with Session(table, config=config, table_name="covid") as session:
         run = session.generate()
         notebook = session.render(run, title="invariance")
@@ -110,14 +106,12 @@ def _baseline(table, backend: str, evaluator: str):
     return _baselines[backend, evaluator]
 
 
-@pytest.mark.parametrize("backend, workers, store, evaluator", CASES)
+@pytest.mark.parametrize("backend, workers, evaluator", CASES)
 def test_notebook_is_byte_identical_across_worker_counts(
-    table, backend, workers, store, evaluator
+    table, backend, workers, evaluator
 ):
-    if store == "shm" and not shm_available():
-        pytest.skip("shared memory unavailable on this platform")
     base_run, base_json = _baseline(table, backend, evaluator)
-    run, ipynb_json = _run(table, backend, workers, store, evaluator)
+    run, ipynb_json = _run(table, backend, workers, evaluator)
 
     assert ipynb_json == base_json
     assert [str(q.query) for q in run.selected] == [

@@ -28,10 +28,10 @@ def small_shards(monkeypatch):
     monkeypatch.setattr(shards, "CHUNK_SIZE", 8)
 
 
-def _config(workers: int, share: bool = True, **parallel_kwargs) -> GenerationConfig:
+def _config(workers: int, share: bool = True) -> GenerationConfig:
     return GenerationConfig(
         significance=SignificanceConfig(n_permutations=60, share_across_pairs=share),
-        parallel=ParallelConfig(workers=workers, **parallel_kwargs),
+        parallel=ParallelConfig(workers=workers),
     )
 
 
@@ -47,18 +47,6 @@ def test_sharded_stats_match_sequential(covid):
     sharded = run_stats_stage(covid, _config(workers=2))
     assert _stats_key(sharded) == _stats_key(serial)
     assert sharded.excluded_pairs == serial.excluded_pairs
-
-
-def test_shm_plane_matches_heap_plane(covid, isolated_obs):
-    from repro.relational.store import shm_available
-
-    if not shm_available():
-        pytest.skip("shared memory unavailable on this platform")
-    heap = run_stats_stage(covid, _config(workers=2, store="heap"))
-    shm = run_stats_stage(covid, _config(workers=2, store="shm"))
-    assert _stats_key(shm) == _stats_key(heap)
-    _, metrics = isolated_obs
-    assert metrics.counter("parallel.shm_attach").value > 0
 
 
 def test_unshared_batches_match_across_worker_counts(covid):

@@ -167,36 +167,14 @@ class TestMomentStore:
         advanced = store.advance(grown, base.n_rows, token)
         cold = MomentStore.build(grown, token)
         assert advanced.version == token and advanced.n_rows == grown.n_rows
-        for attr in cold.attributes:
+        for attr in grown.schema.categorical_names:
             assert_same_aggregate(advanced.moments(attr), cold.moments(attr))
-
-    def test_dirty_values_are_the_touched_labels(self, base):
-        store = MomentStore.build(base, content_token(base))
-        grown = base.append_block(BLOCK)
-        advanced = store.advance(grown, base.n_rows, content_token(grown))
-        assert advanced.dirty_values("a") == frozenset(
-            {"a1", "a9", NULL_LABEL, "a0"}
-        )
-        assert advanced.dirty_values("b") == frozenset({"b0", "b1"})
 
     def test_advance_requires_contiguous_delta(self, base):
         store = MomentStore.build(base, content_token(base))
         grown = base.append_block(BLOCK)
         with pytest.raises(ReproError):
             store.advance(grown, base.n_rows - 1, content_token(grown))
-
-    def test_json_round_trip(self, base):
-        grown = base.append_block(BLOCK)
-        store = MomentStore.build(base, content_token(base)).advance(
-            grown, base.n_rows, content_token(grown)
-        )
-        clone = MomentStore.from_dict(store.to_dict())
-        assert clone.version == store.version
-        assert clone.n_rows == store.n_rows
-        assert clone.attributes == store.attributes
-        for attr in store.attributes:
-            assert_same_aggregate(clone.moments(attr), store.moments(attr))
-            assert clone.dirty_values(attr) == store.dirty_values(attr)
 
 
 class TestTouchedLabels:

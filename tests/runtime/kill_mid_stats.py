@@ -25,7 +25,6 @@ KILL_EXIT_CODE = 17
 def main(argv: list[str]) -> int:
     import repro.persistence as persistence
     from repro.cli import main as cli_main
-    from repro.relational import store
 
     kill_after = int(argv[0])
     save_checkpoint = persistence.save_checkpoint
@@ -37,9 +36,6 @@ def main(argv: list[str]) -> int:
         if stats is None and outcome is None:
             written += 1
             if written == kill_after:
-                # os._exit skips atexit: unlink this process's shared-memory
-                # segments first, so the kill leaves /dev/shm clean.
-                store._unlink_survivors()
                 os._exit(KILL_EXIT_CODE)
 
     persistence.save_checkpoint = save_then_kill

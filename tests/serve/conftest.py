@@ -15,19 +15,9 @@ import pytest
 from repro.config import ReproConfig
 from repro.datasets import covid_table
 from repro.relational import write_csv
-from repro.relational.store import leaked_segments
 from repro.serve import ReproServer, ServeConfig
 
 __all__ = ["http_request"]
-
-
-@pytest.fixture(autouse=True)
-def no_shm_leaks():
-    """Serve tests must leave /dev/shm as they found it (data-plane audit)."""
-    before = set(leaked_segments())
-    yield
-    leaked = sorted(set(leaked_segments()) - before)
-    assert not leaked, f"test leaked shared-memory segments: {leaked}"
 
 
 @pytest.fixture(scope="session")

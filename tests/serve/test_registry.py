@@ -80,7 +80,6 @@ def test_snapshot_reports_cache_counters(registry, serve_csv):
     snap = entry.snapshot()
     assert snap["name"] == "covid"
     assert snap["rows"] == 200
-    assert snap["storage"] == entry.session.storage  # heap, or shm under REPRO_SHM=1
     assert snap["breaker"]["state"] == "closed"
     assert snap["cache"]["aggregate_misses"] > 0
     # A second identical run hits the warm aggregate cache.
@@ -93,28 +92,3 @@ def test_close_evicts_everything(registry, serve_csv, tmp_path):
     registry.close()
     assert registry.names() == []
 
-
-def test_parallel_dataset_is_resident_in_shared_memory(fast_config, serve_csv):
-    """With a subprocess pool configured, the warm table lives in shm once.
-
-    Every job against the dataset then ships the compact handle to the
-    (session-owned, amortized) worker fleet instead of re-pickling 200
-    rows per job — eviction releases the segment.
-    """
-    from repro.relational.store import shm_available
-
-    if not shm_available():
-        pytest.skip("shared memory unavailable on this platform")
-    reg = DatasetRegistry(
-        config=fast_config.with_parallel(workers=2, store="shm")
-    )
-    try:
-        entry = reg.register("covid", serve_csv)
-        assert entry.snapshot()["storage"] == "shm"
-        entry.session.generate()
-        entry.session.generate()
-        counters = entry.session.metrics.snapshot()["counters"]
-        assert counters["parallel.shm_attach"] > 0
-        assert counters["parallel.worker_spawns"] == 2  # one fleet, two runs
-    finally:
-        reg.close()

@@ -58,7 +58,7 @@ class TestConfigToken:
     ):
         """The payload keeps its constant ``"kernel": "batched"`` entry, so
         memos persisted while the switch existed are still reused."""
-        for name in ("REPRO_BACKEND", "REPRO_WORKERS", "REPRO_SHM"):
+        for name in ("REPRO_BACKEND", "REPRO_WORKERS"):
             monkeypatch.delenv(name, raising=False)
         assert incremental_config_token(GenerationConfig()) == "04d9a7cf282bae35"
 
